@@ -13,10 +13,7 @@ __version__ = "0.1.0"
 
 from .age_model import (
     AgeClassifier,
-    GenreFeatureVector,
-    featurize_user,
     featurize_users,
-    predict_age_group,
     train_age_classifier,
 )
 from .cf import (
@@ -24,10 +21,6 @@ from .cf import (
     ItemBasedCF,
     RatingMatrix,
     UserBasedCF,
-    predict_rating,
-    top_n_item_based,
-    top_n_user_based,
-    user_similarity,
 )
 from .dataset import (
     AGE_GROUPS,
@@ -59,14 +52,10 @@ from .memetic import (
     MemeticConfig,
     OptimizationResult,
     ServingHistory,
-    crossover,
     initialize_population,
     inject_items,
     injection_probability,
-    local_search,
-    mutate,
     optimize_user,
-    record_served,
 )
 from .metrics import (
     EvalReport,
@@ -80,12 +69,6 @@ from .objectives import (
     ObjectiveContext,
     ObjectiveVector,
     ObjectiveWeights,
-    PopulationStats,
-    obj_accuracy,
-    obj_dynamic_quota,
-    obj_genre_distance,
-    obj_long_tail_participation,
-    scalarize,
 )
 from .profiles import (
     AgeGenreProfile,
@@ -108,7 +91,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentOutcome",
     "GENRES",
-    "GenreFeatureVector",
     "InjectionParams",
     "Item",
     "ItemBasedCF",
@@ -120,7 +102,6 @@ __all__ = [
     "OptimizationResult",
     "ParseError",
     "PopularityPartition",
-    "PopulationStats",
     "Rating",
     "RatingMatrix",
     "RoundOutcome",
@@ -133,38 +114,23 @@ __all__ = [
     "build_age_genre_profiles",
     "build_dynamics_curves",
     "build_report",
-    "crossover",
     "emit_figure_data",
-    "featurize_user",
     "featurize_users",
     "generate",
     "initialize_population",
     "inject_items",
     "injection_probability",
-    "local_search",
     "multi_round_serve",
-    "mutate",
     "novelty",
-    "obj_accuracy",
-    "obj_dynamic_quota",
-    "obj_genre_distance",
-    "obj_long_tail_participation",
     "optimize_user",
     "parse_movielens",
     "popularity_partition",
     "precision",
-    "predict_age_group",
-    "predict_rating",
     "prepare_experiment",
-    "record_served",
     "run_experiment",
-    "scalarize",
     "target_long_tail_count",
     "temporal_split",
-    "top_n_item_based",
-    "top_n_user_based",
     "train_age_classifier",
-    "user_similarity",
     "warm_user_ids",
     "write_movielens",
 ]

@@ -2,20 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .cf import ColdUserError
-from .dataset import AGE_GROUPS, GENRE_INDEX, GENRES, N_GENRES, Item, Rating
-
-
-@dataclass(frozen=True)
-class GenreFeatureVector:
-    user_id: int
-    features: np.ndarray  # (18,) genre-incidence fractions, sums to 1
+from .dataset import AGE_GROUPS, GENRE_INDEX, N_GENRES, Item, Rating
 
 
 @dataclass(frozen=True)
@@ -55,11 +48,6 @@ def featurize_users(
     return counts / totals[:, None]
 
 
-def featurize_user(train: Sequence[Rating], items: Mapping[int, Item], user_id: int) -> GenreFeatureVector:
-    features = featurize_users(train, items, [user_id])[0]
-    return GenreFeatureVector(user_id=user_id, features=features)
-
-
 def train_age_classifier(features: np.ndarray, labels: Sequence[int]) -> AgeClassifier:
     """Fit per-age-group mean centroids.
 
@@ -78,26 +66,4 @@ def train_age_classifier(features: np.ndarray, labels: Sequence[int]) -> AgeClas
         # canonical row order makes the mean independent of input ordering
         group = group[np.lexsort(group.T[::-1])]
         centroids[row] = group.mean(axis=0)
-    return AgeClassifier(centroids=centroids)
-
-
-def predict_age_group(classifier: AgeClassifier, features: np.ndarray) -> int:
-    return classifier.predict(np.asarray(features, dtype=float))
-
-
-def write_classifier_csv(classifier: AgeClassifier, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["age_group", "genre", "weight"])
-        for row, age in enumerate(AGE_GROUPS):
-            for g, genre in enumerate(GENRES):
-                w.writerow([age, genre, repr(float(classifier.centroids[row, g]))])
-
-
-def read_classifier_csv(path) -> AgeClassifier:
-    centroids = np.zeros((len(AGE_GROUPS), N_GENRES))
-    age_row = {age: i for i, age in enumerate(AGE_GROUPS)}
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            centroids[age_row[int(rec["age_group"])], GENRE_INDEX[rec["genre"]]] = float(rec["weight"])
     return AgeClassifier(centroids=centroids)

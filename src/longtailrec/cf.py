@@ -8,7 +8,6 @@ by contract so downstream predictions stay finite.
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import Iterable, Optional, Sequence
 
@@ -80,6 +79,7 @@ class RatingMatrix:
         reps = np.diff(self.C.indptr)
         self.C.data = self.C.data - np.repeat(np.nan_to_num(self.user_means), reps)
         self.C_csc = self.C.tocsc()
+        self.C_csc.sort_indices()
 
     def uidx(self, user_id: int) -> int:
         try:
@@ -119,51 +119,18 @@ def user_mean(train: RatingMatrix, user_id: int) -> float:
     return float(vals.mean())
 
 
-def _pearson_from_sums(n, sx, sy, sxx, syy, sxy):
-    var_x = n * sxx - sx * sx
-    var_y = n * syy - sy * sy
-    if var_x <= 0.0 or var_y <= 0.0:
-        return 0.0
-    r = (n * sxy - sx * sy) / math.sqrt(var_x * var_y)
-    return float(min(1.0, max(-1.0, r)))
-
-
-def user_similarity(
-    train: RatingMatrix,
-    u: int,
-    v: int,
-    min_overlap: int = DEFAULT_MIN_OVERLAP,
-) -> float:
-    """Pearson correlation of the two users' ratings over their co-rated items.
-
-    Returns 0 when the overlap is thinner than ``min_overlap`` or when either
-    user's ratings are constant over the overlap.
-    """
-    if u == v:
-        raise ValueError("self-similarity is undefined; neighbor lists exclude self")
-    iu = train.rated_item_indices(u)
-    iv = train.rated_item_indices(v)
-    common, pos_u, pos_v = np.intersect1d(iu, iv, assume_unique=True, return_indices=True)
-    n = common.size
-    if n < min_overlap:
-        return 0.0
-    x = train.rated_values(u)[pos_u]
-    y = train.rated_values(v)[pos_v]
-    return _pearson_from_sums(
-        float(n), float(x.sum()), float(y.sum()),
-        float((x * x).sum()), float((y * y).sum()), float((x * y).sum()),
-    )
-
-
 def similarity_vector(
     train: RatingMatrix,
     user_id: int,
     min_overlap: int = DEFAULT_MIN_OVERLAP,
 ) -> np.ndarray:
-    """Similarities of ``user_id`` to every user (self entry forced to 0).
+    """Pearson similarities of ``user_id`` to every user over their co-rated
+    items (self entry forced to 0).
 
-    Vectorized equivalent of calling :func:`user_similarity` against all
-    users; integer rating sums keep both paths exactly equal.
+    The per-pair sums are restricted to the overlap through the binary rating
+    matrix. A pair scores 0 when the overlap is thinner than ``min_overlap``
+    or when either user's ratings are constant over it. Raises ColdUserError
+    for a user with no training ratings.
     """
     u = train.uidx(user_id)
     n_items = train.R.shape[1]
@@ -258,42 +225,6 @@ class UserBasedCF:
         np.clip(out, RATING_MIN, RATING_MAX, out=out)
         return out
 
-    def predict(self, user_id: int, item_id: int) -> float:
-        return float(self.predict_many(user_id, [item_id])[0])
-
-    def top_n(self, user_id: int, n: int) -> list[int]:
-        """Unrated items ranked by prediction desc, popularity desc, id asc."""
-        return _rank_unrated(self.train, user_id, n, self.predict_many)
-
-    def export_neighbors(self, path, user_ids: Sequence[int], top_k: Optional[int] = None) -> None:
-        """Write per-user neighbor lists as CSV (user_id, neighbor_id, similarity)."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["user_id", "neighbor_id", "similarity"])
-            for user_id in user_ids:
-                sims = self.similarities(user_id)
-                nz = np.nonzero(sims)[0]
-                if top_k is not None and nz.size > top_k:
-                    nz = nz[np.lexsort((self.train.user_ids[nz], -sims[nz]))[:top_k]]
-                for idx in nz:
-                    w.writerow([user_id, int(self.train.user_ids[idx]), repr(float(sims[idx]))])
-
-    def load_neighbors(self, path) -> None:
-        """Seed the similarity cache from a CSV written by export_neighbors."""
-        per_user: dict[int, np.ndarray] = {}
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                user_id = int(row["user_id"])
-                sims = per_user.get(user_id)
-                if sims is None:
-                    sims = np.zeros(self.train.R.shape[0])
-                    per_user[user_id] = sims
-                sims[self.train.uidx(int(row["neighbor_id"]))] = float(row["similarity"])
-        for user_id, sims in per_user.items():
-            sims.setflags(write=False)
-            self._sim_cache[user_id] = sims
-
-
 class ItemBasedCF:
     """Adjusted-cosine item kNN baseline (ratings centered per user)."""
 
@@ -322,9 +253,12 @@ class ItemBasedCF:
         rb = t.C_csc.indices[t.C_csc.indptr[ib]:t.C_csc.indptr[ib + 1]]
         ca = t.C_csc.data[t.C_csc.indptr[ia]:t.C_csc.indptr[ia + 1]]
         cb = t.C_csc.data[t.C_csc.indptr[ib]:t.C_csc.indptr[ib + 1]]
-        common, pos_a, pos_b = np.intersect1d(ra, rb, assume_unique=True, return_indices=True)
+        # Co-raters in ascending user order; each column's indices are sorted.
+        pos_a = np.searchsorted(ra, rb)
+        pos_b = np.flatnonzero(ra[np.minimum(pos_a, ra.size - 1)] == rb) if ra.size else pos_a[:0]
+        pos_a = pos_a[pos_b]
         sim = 0.0
-        if common.size >= self.min_overlap:
+        if pos_b.size >= self.min_overlap:
             xa, xb = ca[pos_a], cb[pos_b]
             da = float((xa * xa).sum())
             db = float((xb * xb).sum())
@@ -357,45 +291,3 @@ class ItemBasedCF:
             out[pos] = (cand_sims * cand_vals).sum() / cand_sims.sum()
         np.clip(out, RATING_MIN, RATING_MAX, out=out)
         return out
-
-    def predict(self, user_id: int, item_id: int) -> float:
-        return float(self.predict_many(user_id, [item_id])[0])
-
-    def top_n(self, user_id: int, n: int) -> list[int]:
-        return _rank_unrated(self.train, user_id, n, self.predict_many)
-
-
-def _rank_unrated(train: RatingMatrix, user_id: int, n: int, predict_many) -> list[int]:
-    if train.rated_values(user_id).size == 0:
-        raise ColdUserError(user_id)
-    if n <= 0:
-        return []
-    rated = set(train.rated_item_indices(user_id).tolist())
-    unrated_idx = np.array([j for j in range(len(train.item_ids)) if j not in rated], dtype=np.int64)
-    if unrated_idx.size == 0:
-        return []
-    cand_ids = train.item_ids[unrated_idx]
-    preds = predict_many(user_id, cand_ids)
-    pops = train.item_counts[unrated_idx]
-    order = np.lexsort((cand_ids, -pops, -preds))
-    return [int(i) for i in cand_ids[order][:n]]
-
-
-def predict_rating(
-    train: RatingMatrix,
-    user_id: int,
-    item_id: int,
-    k_neighbors: int = DEFAULT_K_NEIGHBORS,
-) -> float:
-    """One-shot user-based prediction; see UserBasedCF for batched use."""
-    return UserBasedCF(train, k_neighbors=k_neighbors).predict(user_id, item_id)
-
-
-def top_n_user_based(train: RatingMatrix, user_id: int, n: int,
-                     k_neighbors: int = DEFAULT_K_NEIGHBORS) -> list[int]:
-    return UserBasedCF(train, k_neighbors=k_neighbors).top_n(user_id, n)
-
-
-def top_n_item_based(train: RatingMatrix, user_id: int, n: int,
-                     k_neighbors: int = DEFAULT_K_NEIGHBORS) -> list[int]:
-    return ItemBasedCF(train, k_neighbors=k_neighbors).top_n(user_id, n)

@@ -22,9 +22,9 @@ from .harness import (
     ExperimentConfig,
     emit_figure_data,
     multi_round_serve,
+    optimize_single,
     prepare_experiment,
     run_experiment,
-    _optimize_single,
 )
 from .memetic import InjectionParams, MemeticConfig, ServingHistory
 from .metrics import report_to_dict
@@ -185,7 +185,7 @@ def _cmd_recommend(args: argparse.Namespace) -> dict:
             f"user {args.user} is not eligible (needs >= {config.min_train_ratings} train "
             f"ratings, >= 1 test rating, >= {config.k} candidate items)"
         )
-    result = _optimize_single(args.user, prepared, config, "proposed", ServingHistory(), 0)
+    result = optimize_single(args.user, prepared, config, "proposed", ServingHistory(), 0)
     return {
         "user_id": result.user_id,
         "items": list(result.best.items),

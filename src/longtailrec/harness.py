@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import subprocess
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -21,6 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import __version__
 from .age_model import AgeClassifier, featurize_users, train_age_classifier
 from .cf import ItemBasedCF, RatingMatrix, UserBasedCF
 from .dataset import (
@@ -40,7 +40,6 @@ from .memetic import (
     OptimizationResult,
     ServingHistory,
     optimize_user,
-    record_served,
     same_age_item_means,
 )
 from .metrics import EvalReport, build_report, test_ratings_by_user, write_report_json, write_reports_csv
@@ -59,24 +58,8 @@ METHODS = ("proposed", "user-cf", "item-cf", "plain-genetic")
 
 
 def engine_version() -> str:
-    """Package version plus the current source revision when available."""
-    try:
-        from importlib.metadata import version
-
-        pkg = version("longtailrec")
-    except Exception:
-        pkg = "0.0.0-dev"
-    try:
-        rev = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        ).stdout.strip()
-    except Exception:
-        rev = ""
-    return f"longtailrec {pkg}" + (f" ({rev})" if rev else "")
+    """Package name and version, echoed into every report."""
+    return f"longtailrec {__version__}"
 
 
 @dataclass(frozen=True)
@@ -190,28 +173,32 @@ def prepare_experiment(config: ExperimentConfig) -> PreparedExperiment:
     item_cf = ItemBasedCF(train_matrix)
     test_by_user = test_ratings_by_user(split.test)
 
-    universes: dict[int, tuple[int, ...]] = {}
-    eligible: list[int] = []
+    # Eligibility needs only universe sizes; universes are built for the kept users.
     catalog_arr = train_matrix.item_ids
+    eligible: list[int] = []
     for u in warm:
         tests = test_by_user.get(u)
         if not tests:
             continue
         if config.candidate_universe == "test":
-            universe = tuple(sorted(tests))
+            n_candidates = len(tests)
         else:
-            rated = set(int(i) for i in catalog_arr[train_matrix.rated_item_indices(u)])
-            universe = tuple(int(i) for i in catalog_arr if int(i) not in rated)
-        if len(universe) < config.k:
-            continue
-        universes[u] = universe
-        eligible.append(u)
+            n_candidates = catalog_arr.size - train_matrix.rated_item_indices(u).size
+        if n_candidates >= config.k:
+            eligible.append(u)
 
     if config.subsample_users is not None and len(eligible) > config.subsample_users:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 997]))
         chosen = rng.choice(np.array(eligible), size=config.subsample_users, replace=False)
         eligible = sorted(int(u) for u in chosen)
-        universes = {u: universes[u] for u in eligible}
+
+    universes: dict[int, tuple[int, ...]] = {}
+    for u in eligible:
+        if config.candidate_universe == "test":
+            universes[u] = tuple(sorted(test_by_user[u]))
+        else:
+            rated = catalog_arr[train_matrix.rated_item_indices(u)]
+            universes[u] = tuple(np.setdiff1d(catalog_arr, rated).tolist())
 
     train_means = {u: float(train_matrix.user_means[train_matrix.user_index[u]]) for u in eligible}
     return PreparedExperiment(
@@ -269,7 +256,7 @@ def _memetic_kwargs(prepared: PreparedExperiment, config: ExperimentConfig, meth
     )
 
 
-def _optimize_single(
+def optimize_single(
     user_id: int,
     prepared: PreparedExperiment,
     config: ExperimentConfig,
@@ -277,6 +264,9 @@ def _optimize_single(
     history: ServingHistory,
     round_index: int,
 ) -> OptimizationResult:
+    """Optimize one eligible user's list with the method's settings, seeded by
+    ``(config.seed, round_index, user_id)`` so the result does not depend on
+    evaluation order or worker count."""
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, round_index, user_id])
     )
@@ -302,7 +292,7 @@ def _worker_init(prepared, config, method, history_counts, round_index):
 
 
 def _worker_run(user_id: int) -> OptimizationResult:
-    return _optimize_single(
+    return optimize_single(
         user_id,
         _WORKER_STATE["prepared"],
         _WORKER_STATE["config"],
@@ -345,7 +335,7 @@ def _recommend_all(
                     results[res.user_id] = res
         else:
             for u in users:
-                results[u] = _optimize_single(u, prepared, config, method, history, round_index)
+                results[u] = optimize_single(u, prepared, config, method, history, round_index)
         for u in users:
             recommended[u] = results[u].best.items
     else:
@@ -550,7 +540,7 @@ def multi_round_serve(
                 )
             )
             for u in prepared.eligible_users:
-                record_served(history, recommended[u])
+                history.record_served(recommended[u])
 
         if outdir:
             outdir.mkdir(parents=True, exist_ok=True)

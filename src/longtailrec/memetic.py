@@ -60,14 +60,6 @@ class ServingHistory:
             for item_id in sorted(self._counts):
                 writer.writerow([item_id, self._counts[item_id]])
 
-    @classmethod
-    def read_csv(cls, path: str | Path) -> "ServingHistory":
-        counts: dict[int, int] = {}
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                counts[int(row["item_id"])] = int(row["count"])
-        return cls(counts)
-
 
 @dataclass(frozen=True)
 class InjectionParams:
@@ -142,11 +134,6 @@ class OptimizationResult:
     target_long_tail: int
     pool_size: int
     n_injected: int
-
-
-def trace_lines(trace: Sequence[GenerationTrace]) -> list[str]:
-    """Render a run trace as `generation,best_fitness,mean_fitness` lines."""
-    return [f"{t.generation},{t.best_fitness:.12g},{t.mean_fitness:.12g}" for t in trace]
 
 
 def injection_probability(
@@ -243,88 +230,6 @@ def initialize_population(
     return population
 
 
-def crossover(
-    parent_a: CandidateList,
-    parent_b: CandidateList,
-    rng: np.random.Generator,
-    pool: Sequence[int] = (),
-) -> CandidateList:
-    """Uniform position-wise mix of two parents with duplicate repair.
-
-    Conflicting positions are refilled from the parents' unused items (always
-    sufficient for equal-length parents), then from `pool` as a last resort.
-    """
-    if parent_a.user_id != parent_b.user_id:
-        raise ValueError("parents belong to different users")
-    if parent_a.k != parent_b.k:
-        raise ValueError("parents have different lengths")
-    k = parent_a.k
-    take_a = rng.random(k) < 0.5
-    child: list[int | None] = []
-    used: set[int] = set()
-    conflicts: list[int] = []
-    for pos in range(k):
-        gene = parent_a.items[pos] if take_a[pos] else parent_b.items[pos]
-        if gene in used:
-            conflicts.append(pos)
-            child.append(None)
-        else:
-            child.append(gene)
-            used.add(gene)
-    if conflicts:
-        leftovers = [g for g in (*parent_a.items, *parent_b.items) if g not in used]
-        leftovers = list(dict.fromkeys(leftovers))
-        order = rng.permutation(len(leftovers))
-        queue = [leftovers[i] for i in order]
-        for pos in conflicts:
-            if queue:
-                gene = queue.pop()
-            else:
-                fallback = sorted(set(pool) - used)
-                if not fallback:
-                    raise ValueError("cannot repair crossover child: no unused items left")
-                gene = fallback[int(rng.integers(len(fallback)))]
-            child[pos] = gene
-            used.add(gene)
-    return CandidateList(user_id=parent_a.user_id, items=tuple(int(g) for g in child))
-
-
-def mutate(
-    individual: CandidateList,
-    pool: Sequence[int],
-    mutation_rate: float,
-    rng: np.random.Generator,
-) -> CandidateList:
-    """Independently replace each position with probability `mutation_rate`
-    by a uniformly chosen pool item not already in the list."""
-    items = list(individual.items)
-    pool_arr = np.array(sorted(set(pool)), dtype=np.int64)
-    for pos in range(len(items)):
-        if rng.random() < mutation_rate:
-            current = set(items)
-            options = pool_arr[~np.isin(pool_arr, list(current))]
-            if options.size:
-                items[pos] = int(options[int(rng.integers(options.size))])
-    return CandidateList(user_id=individual.user_id, items=tuple(items))
-
-
-def local_search(
-    individual: CandidateList,
-    ctx: ObjectiveContext,
-    trials: int,
-    rng: np.random.Generator,
-) -> CandidateList:
-    """Random-swap hill climbing: each trial proposes one position/pool swap
-    and keeps it only on strict fitness improvement."""
-    index_of = {int(i): idx for idx, i in enumerate(ctx.pool_items)}
-    try:
-        current = np.array([index_of[i] for i in individual.items], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"individual contains item outside the pool: {exc}") from exc
-    current = _local_search_batch(current[None, :], ctx, trials, rng)[0]
-    return ctx.candidate(current)
-
-
 def _local_search_batch(
     population: np.ndarray,
     ctx: ObjectiveContext,
@@ -353,51 +258,49 @@ def _local_search_batch(
 
 
 def _crossover_indices(
-    parent_a: np.ndarray, parent_b: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    k = parent_a.shape[0]
-    take_a = rng.random(k) < 0.5
-    genes = np.where(take_a, parent_a, parent_b)
-    child = np.empty(k, dtype=np.int64)
+    parent_a: list[int], parent_b: list[int], rng: np.random.Generator
+) -> list[int]:
+    """Uniform position-wise mix of two parents; a gene already in the child
+    is replaced from a shuffled queue of the parents' unused genes."""
+    draws = rng.random(len(parent_a)).tolist()
+    child = [ga if u < 0.5 else gb for ga, gb, u in zip(parent_a, parent_b, draws)]
     used: set[int] = set()
     conflicts: list[int] = []
-    for pos in range(k):
-        gene = int(genes[pos])
+    for pos, gene in enumerate(child):
         if gene in used:
             conflicts.append(pos)
         else:
-            child[pos] = gene
             used.add(gene)
     if conflicts:
-        leftovers = [int(g) for g in (*parent_a, *parent_b) if int(g) not in used]
-        leftovers = list(dict.fromkeys(leftovers))
-        order = rng.permutation(len(leftovers))
-        queue = [leftovers[i] for i in order]
+        leftovers = [g for g in dict.fromkeys(parent_a + parent_b) if g not in used]
+        queue = [leftovers[i] for i in rng.permutation(len(leftovers)).tolist()]
         for pos in conflicts:
-            gene = queue.pop()
-            child[pos] = gene
-            used.add(gene)
+            child[pos] = queue.pop()
     return child
 
 
 def _mutate_indices(
-    individual: np.ndarray, n_pool: int, mutation_rate: float, rng: np.random.Generator
-) -> np.ndarray:
-    child = individual.copy()
-    k = child.shape[0]
-    hits = np.flatnonzero(rng.random(k) < mutation_rate)
+    individual: list[int], n_pool: int, mutation_rate: float, rng: np.random.Generator
+) -> list[int]:
+    """Replace each position with probability `mutation_rate` by a uniform
+    draw from the pool indices not in the list."""
+    draws = rng.random(len(individual)).tolist()
+    hits = [pos for pos, u in enumerate(draws) if u < mutation_rate]
+    if not hits:
+        return individual
+    genes = list(individual)
     for pos in hits:
-        mask = np.ones(n_pool, dtype=bool)
-        mask[child] = False
-        options = np.flatnonzero(mask)
-        if options.size:
-            child[pos] = int(options[int(rng.integers(options.size))])
-    return child
-
-
-def _tournament(fitness: np.ndarray, size: int, rng: np.random.Generator) -> int:
-    contenders = rng.integers(len(fitness), size=size)
-    return int(contenders[int(np.argmin(fitness[contenders]))])
+        taken = sorted(set(genes))
+        if len(taken) == n_pool:
+            continue
+        # The r-th pool index not taken, counting up from 0.
+        r = int(rng.integers(n_pool - len(taken)))
+        for g in taken:
+            if g > r:
+                break
+            r += 1
+        genes[pos] = r
+    return genes
 
 
 def same_age_item_means(
@@ -415,13 +318,6 @@ def same_age_item_means(
             group_mean = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
         means[age] = group_mean
     return means
-
-
-def record_served(history: ServingHistory, served: CandidateList | Sequence[int]) -> ServingHistory:
-    """Increment the serving counter of every item in the served list."""
-    items = served.items if isinstance(served, CandidateList) else served
-    history.record_served(int(i) for i in items)
-    return history
 
 
 def optimize_user(
@@ -582,23 +478,20 @@ def optimize_user(
         )
         winner_slot = np.argmin(fitness[contenders], axis=2)
         parent_idx = np.take_along_axis(contenders, winner_slot[:, :, None], axis=2)[:, :, 0]
-        do_crossover = rng.random(n_children) < config.crossover_rate
-        children = np.empty((n_children, k), dtype=np.int64)
-        for c in range(n_children):
-            pa = population[parent_idx[c, 0]]
-            pb = population[parent_idx[c, 1]]
-            if do_crossover[c] and not np.array_equal(pa, pb):
-                child = _crossover_indices(pa, pb, rng)
-            else:
-                child = pa.copy()
-            children[c] = _mutate_indices(child, len(pool_ids), config.mutation_rate, rng)
-        children = _local_search_batch(children, ctx, ls_trials, rng)
+        do_crossover = (rng.random(n_children) < config.crossover_rate).tolist()
+        rows = population.tolist()
+        children = []
+        for c, (ia, ib) in enumerate(parent_idx.tolist()):
+            pa, pb = rows[ia], rows[ib]
+            child = _crossover_indices(pa, pb, rng) if do_crossover[c] and pa != pb else pa
+            children.append(_mutate_indices(child, len(pool_ids), config.mutation_rate, rng))
+        children = _local_search_batch(np.array(children, dtype=np.int64), ctx, ls_trials, rng)
         population = np.vstack([elites, children]) if config.elitism_count else children
         fitness = ctx.fitness(population)
         best = float(fitness.min())
         if best > trace[-1].best_fitness + 1e-9:
             raise RuntimeError(
-                f"elite fitness increased at generation {generation}: "
+                f"elite fitness increased for user {user_id} at generation {generation}: "
                 f"{trace[-1].best_fitness} -> {best}"
             )
         trace.append(

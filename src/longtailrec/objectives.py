@@ -3,7 +3,9 @@
 Objectives per candidate list: summed item popularity (long-tail pressure),
 inverse summed predicted rating (accuracy pressure), absolute deviation from
 the activity/age long-tail quota, and L1 distance between the list's genre
-distribution and the age group's genre distribution.
+distribution and the age group's genre distribution. `ObjectiveContext`
+evaluates them over index-encoded lists drawn from one user's candidate pool
+and normalizes each by the bounds any k-subset of that pool can reach.
 """
 
 from __future__ import annotations
@@ -81,66 +83,6 @@ class ObjectiveWeights:
         return cls(*arr.tolist())
 
 
-@dataclass(frozen=True)
-class PopulationStats:
-    """Per-component min/max over a population of objective vectors."""
-
-    mins: np.ndarray
-    maxs: np.ndarray
-
-    @classmethod
-    def from_vectors(cls, vectors: Sequence[ObjectiveVector]) -> "PopulationStats":
-        arr = np.stack([v.as_array() for v in vectors])
-        return cls(mins=arr.min(axis=0), maxs=arr.max(axis=0))
-
-
-def obj_long_tail_participation(candidate: CandidateList, partition: PopularityPartition) -> float:
-    """Summed training popularity of the list items (Lower = more long tail)."""
-    return float(sum(partition.popularity(i) for i in candidate.items))
-
-
-def obj_accuracy(candidate: CandidateList, predictions: Mapping[int, float]) -> float:
-    """Reciprocal of the summed predicted ratings; lower = stronger predictions."""
-    total = sum(predictions[i] for i in candidate.items)
-    return 1.0 / total
-
-
-def obj_dynamic_quota(candidate: CandidateList, partition: PopularityPartition, target_count: int) -> int:
-    """Absolute gap between the list's long-tail count and the activity/age target."""
-    n_lt = sum(1 for i in candidate.items if partition.is_long_tail(i))
-    return abs(n_lt - target_count)
-
-
-def obj_genre_distance(
-    candidate: CandidateList,
-    items: Mapping[int, Item],
-    pgu: np.ndarray,
-) -> float:
-    """L1 distance between the list's genre distribution and the age profile."""
-    gmat = item_genre_matrix(items, list(candidate.items))
-    incidences = gmat.sum(axis=0)
-    pgl = incidences / incidences.sum()
-    return float(np.abs(np.asarray(pgu) - pgl).sum())
-
-
-def scalarize(
-    vector: ObjectiveVector,
-    population_stats: PopulationStats,
-    weights: ObjectiveWeights,
-) -> float:
-    """Min-max normalize each component against the population and weight-sum.
-
-    Components whose population min equals its max normalize to 0. Lower is
-    better throughout.
-    """
-    v = vector.as_array()
-    span = population_stats.maxs - population_stats.mins
-    normalized = np.zeros(4)
-    live = span > 0
-    normalized[live] = (v[live] - population_stats.mins[live]) / span[live]
-    return float(normalized @ weights.as_array())
-
-
 class ObjectiveContext:
     """Vectorized objective evaluation over a fixed per-user candidate pool.
 
@@ -196,14 +138,16 @@ class ObjectiveContext:
     def objectives(self, population: np.ndarray) -> np.ndarray:
         """Objective matrix (n, 4) for index-encoded individuals (n, k)."""
         pop = np.atleast_2d(population)
-        lt_part = self.pop_counts[pop].sum(axis=1)
-        acc = 1.0 / self.preds[pop].sum(axis=1)
-        quota = np.abs(self.is_lt[pop].sum(axis=1) - self.target_lt).astype(float)
-        genre_counts = self.genre_mat[pop].sum(axis=1)
+        out = np.empty((pop.shape[0], 4))
+        out[:, 0] = self.pop_counts[pop].sum(axis=1)
+        out[:, 1] = 1.0 / self.preds[pop].sum(axis=1)
+        out[:, 2] = np.abs(self.is_lt[pop].sum(axis=1) - self.target_lt)
+        # 0/1 indicators: the counts are exact in any order, so sum whole rows.
+        genre_counts = self.genre_mat[pop.T].sum(axis=0)
         totals = genre_counts.sum(axis=1, keepdims=True)
         pgl = genre_counts / totals
-        gd = np.abs(self.pgu[None, :] - pgl).sum(axis=1)
-        return np.stack([lt_part, acc, quota, gd], axis=1)
+        out[:, 3] = np.abs(self.pgu[None, :] - pgl).sum(axis=1)
+        return out
 
     def fitness_from_objectives(self, objs: np.ndarray) -> np.ndarray:
         normalized = (objs - self.norm_lo) / self.norm_span

@@ -225,20 +225,17 @@ def generate(config: SynthConfig | None = None) -> Dataset:
 
         mu = float(np.clip(rng.normal(config.user_mean_center, config.user_mean_sd), 2.5, 4.3))
         noise = rng.normal(0.0, config.noise_sd, n_u)
-        for pos, row in enumerate(sequence, start=1):
-            # Users increasingly pick items they expect to like, so later
-            # ratings trend higher than early ones.
-            informed = config.selection_gain * (pos / n_u)
-            raw = mu + quality[row] + config.affinity_gain * aff_z[row] + informed + noise[pos - 1]
-            value = int(np.clip(round(raw), 1, 5))
-            ratings.append(
-                Rating(
-                    user_id=user_id,
-                    item_id=int(item_ids[row]),
-                    value=value,
-                    timestamp=user_id * 1000 + pos,
-                )
+        # Users increasingly pick items they expect to like, so later
+        # ratings trend higher than early ones.
+        informed = config.selection_gain * (idx / n_u)
+        raw = mu + quality[sequence] + config.affinity_gain * aff_z[sequence] + informed + noise
+        values = np.clip(np.rint(raw), 1, 5).astype(np.int64)
+        ratings.extend(
+            Rating(user_id=user_id, item_id=item_id, value=value, timestamp=user_id * 1000 + pos)
+            for pos, (item_id, value) in enumerate(
+                zip(item_ids[sequence].tolist(), values.tolist()), start=1
             )
+        )
 
     return Dataset(users=users, items=items, ratings=tuple(ratings))
 

@@ -146,18 +146,6 @@ def oracle_objective_values(list_items, counts, predictions, long_tail, target, 
     return lt_participation, accuracy, quota, genre_distance
 
 
-def oracle_scalarize(vector, population, weights):
-    """Min-max normalize each of the 4 components over `population`, then
-    weight-sum; flat components contribute 0."""
-    out = 0.0
-    for c in range(4):
-        col = [v[c] for v in population]
-        lo, hi = min(col), max(col)
-        norm = 0.0 if hi <= lo else (vector[c] - lo) / (hi - lo)
-        out += weights[c] * norm
-    return out
-
-
 def oracle_precision(recommended, test_by_user, train_means):
     n_rec = 0
     n_rel = 0

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from longtailrec.age_model import featurize_users, train_age_classifier
-from longtailrec.cf import UserBasedCF, predict_rating, user_similarity
+from longtailrec.cf import UserBasedCF, similarity_vector
 from longtailrec.dataset import GENRES
 from longtailrec.harness import (
     ExperimentConfig,
@@ -41,22 +41,14 @@ from longtailrec.memetic import (
     InjectionParams,
     MemeticConfig,
     ServingHistory,
-    crossover,
+    _crossover_indices,
+    _local_search_batch,
+    _mutate_indices,
     injection_probability,
-    local_search,
-    mutate,
     optimize_user,
 )
 from longtailrec.metrics import aggregate_diversity, novelty, precision
-from longtailrec.objectives import (
-    CandidateList,
-    ObjectiveContext,
-    ObjectiveWeights,
-    obj_accuracy,
-    obj_dynamic_quota,
-    obj_genre_distance,
-    obj_long_tail_participation,
-)
+from longtailrec.objectives import ObjectiveContext, ObjectiveWeights
 from longtailrec.profiles import build_age_genre_profiles, build_dynamics_curves
 from longtailrec.synth import SynthConfig
 
@@ -65,6 +57,7 @@ from oracles import (
     oracle_aggregate_diversity,
     oracle_novelty,
     oracle_objective_values,
+    oracle_pearson,
     oracle_precision,
     oracle_predict_user_based,
 )
@@ -148,30 +141,37 @@ def test_criterion_1_oracle_equivalence():
         counts = {i: inst.partition.popularity(i) for i in item_ids}
 
         # Rating prediction vs the brute-force neighborhood evaluation.
+        model = UserBasedCF(inst.train)
         rated_users = [
             u for u in sorted(inst.users) if inst.train.rated_item_indices(u).size >= 1
         ]
         for u in rng.choice(rated_users, size=min(3, len(rated_users)), replace=False):
             j = int(rng.choice(item_ids))
-            got = predict_rating(inst.train, int(u), j)
+            got = float(model.predict_many(int(u), [j])[0])
             want = oracle_predict_user_based(inst.ratings, int(u), j)
             assert abs(got - want) <= tol, f"seed {seed}: predict({u},{j}) {got} vs {want}"
             n_pred += 1
 
-        # The four list objectives on a random candidate list.
+        # The four list objectives of a random list, as the optimizer evaluates them.
         k = min(5, len(item_ids))
-        list_items = [int(i) for i in rng.choice(item_ids, size=k, replace=False)]
+        list_idx = rng.choice(len(item_ids), size=k, replace=False)
+        list_items = [item_ids[int(n)] for n in list_idx]
         preds = {i: float(rng.uniform(1.0, 5.0)) for i in item_ids}
         target = int(rng.integers(0, k + 1))
         pgu = rng.random(len(GENRES))
         pgu /= pgu.sum()
-        cand = CandidateList(user_id=1, items=tuple(list_items))
-        got4 = (
-            obj_long_tail_participation(cand, inst.partition),
-            obj_accuracy(cand, preds),
-            obj_dynamic_quota(cand, inst.partition, target),
-            obj_genre_distance(cand, inst.items, pgu),
+        ctx = ObjectiveContext(
+            user_id=1,
+            pool_items=item_ids,
+            k=k,
+            partition=inst.partition,
+            predictions=preds,
+            items=inst.items,
+            pgu=pgu,
+            target_lt=target,
+            weights=ObjectiveWeights(),
         )
+        got4 = ctx.objectives(list_idx[None, :])[0]
         want4 = oracle_objective_values(
             list_items,
             counts,
@@ -249,64 +249,63 @@ def _closure_setup(seed: int, rng: np.random.Generator):
     return item_ids, k, ctx
 
 
-def _random_list(item_ids, k, rng) -> CandidateList:
-    picked = rng.choice(item_ids, size=k, replace=False)
-    return CandidateList(user_id=1, items=tuple(int(i) for i in picked))
-
-
-def _assert_valid(cand: CandidateList, k: int, pool: set[int]) -> None:
-    assert cand.k == k
-    assert len(set(cand.items)) == k, f"duplicates in {cand.items}"
-    assert set(cand.items) <= pool, f"items escaped the pool: {cand.items}"
+def _assert_valid(individual: np.ndarray, k: int, n_pool: int) -> None:
+    assert individual.shape == (k,)
+    assert len(set(individual.tolist())) == k, f"duplicates in {individual}"
+    assert ((individual >= 0) & (individual < n_pool)).all(), f"escaped the pool: {individual}"
 
 
 def test_criterion_2_invariant_suite():
     counts = {}
 
-    # Family 1: similarity bounds and symmetry.
+    # Family 1: similarity bounds and symmetry, over pairs of users with
+    # training ratings (a user without any has no similarity vector).
     rng = np.random.default_rng(611)
     n_sim = 0
     for seed in itertools.count(61_000):
         if n_sim >= 10_000:
             break
         inst = make_random_instance(seed)
-        users = sorted(inst.users)
+        t = inst.train
+        users = [u for u in sorted(inst.users) if t.rated_item_indices(u).size > 0]
+        vectors = {u: similarity_vector(t, u) for u in users}
         for a in range(len(users)):
             for b in range(a + 1, len(users)):
-                s_ab = user_similarity(inst.train, users[a], users[b])
-                s_ba = user_similarity(inst.train, users[b], users[a])
+                s_ab = vectors[users[a]][t.uidx(users[b])]
+                s_ba = vectors[users[b]][t.uidx(users[a])]
                 assert -1.0 - 1e-12 <= s_ab <= 1.0 + 1e-12
                 assert abs(s_ab - s_ba) <= 1e-12
+                assert abs(s_ab - oracle_pearson(inst.ratings, users[a], users[b])) <= 1e-9
                 n_sim += 1
     counts["similarity"] = n_sim
 
-    # Family 2: list validity closure under crossover, mutation, local search.
+    # Family 2: list validity closure under the optimizer's index operators.
     n_cross = n_mut = n_ls = 0
     for seed in itertools.count(62_000):
         if min(n_cross, n_mut, n_ls) >= 10_000:
             break
         item_ids, k, ctx = _closure_setup(seed, rng)
-        pool = set(item_ids)
-        index_of = {i: idx for idx, i in enumerate(item_ids)}
+        n_pool = len(item_ids)
         for _ in range(20):
-            child = crossover(
-                _random_list(item_ids, k, rng), _random_list(item_ids, k, rng), rng, item_ids
-            )
-            _assert_valid(child, k, pool)
+            pa = rng.choice(n_pool, size=k, replace=False).tolist()
+            pb = rng.choice(n_pool, size=k, replace=False).tolist()
+            child = _crossover_indices(pa, pb, rng)
+            _assert_valid(np.array(child), k, n_pool)
+            assert set(child) <= set(pa) | set(pb)
             n_cross += 1
         for _ in range(20):
-            mutated = mutate(_random_list(item_ids, k, rng), item_ids, 0.4, rng)
-            _assert_valid(mutated, k, pool)
+            parent = rng.choice(n_pool, size=k, replace=False).tolist()
+            _assert_valid(np.array(_mutate_indices(parent, n_pool, 0.4, rng)), k, n_pool)
             n_mut += 1
-        for _ in range(4):
-            trials = 5
-            start = _random_list(item_ids, k, rng)
-            result = local_search(start, ctx, trials, rng)
-            _assert_valid(result, k, pool)
-            f_start = float(ctx.fitness(np.array([[index_of[i] for i in start.items]]))[0])
-            f_result = float(ctx.fitness(np.array([[index_of[i] for i in result.items]]))[0])
-            assert f_result <= f_start + 1e-12, "local search worsened fitness"
-            n_ls += trials
+        trials = 5
+        start = np.stack([rng.choice(n_pool, size=k, replace=False) for _ in range(4)])
+        result = _local_search_batch(start, ctx, trials, rng)
+        for row in result:
+            _assert_valid(row, k, n_pool)
+        assert (ctx.fitness(result) <= ctx.fitness(start) + 1e-12).all(), (
+            "local search worsened fitness"
+        )
+        n_ls += trials * len(start)
     counts["closure"] = (n_cross, n_mut, n_ls)
 
     # Family 3: elite fitness never increases across generations.

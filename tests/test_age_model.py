@@ -7,12 +7,8 @@ import pytest
 
 from longtailrec.age_model import (
     AgeClassifier,
-    featurize_user,
     featurize_users,
-    predict_age_group,
-    read_classifier_csv,
     train_age_classifier,
-    write_classifier_csv,
 )
 from longtailrec.cf import ColdUserError
 from longtailrec.dataset import AGE_GROUPS, GENRES, N_GENRES, Item, Rating
@@ -31,9 +27,9 @@ class TestFeaturize:
     def test_single_genre_rating_is_unit_mass(self):
         items = {1: Item(item_id=1, title="t", genres=frozenset({"Comedy"}))}
         ratings = [Rating(user_id=1, item_id=1, value=4, timestamp=0)]
-        vec = featurize_user(ratings, items, 1)
-        assert vec.user_id == 1
-        assert np.allclose(vec.features, pure_vector("Comedy"))
+        vec = featurize_users(ratings, items, [1])
+        assert vec.shape == (1, N_GENRES)
+        assert np.allclose(vec[0], pure_vector("Comedy"))
 
     def test_multi_genre_incidence_fractions(self):
         items = {
@@ -44,14 +40,14 @@ class TestFeaturize:
             Rating(user_id=1, item_id=1, value=4, timestamp=0),
             Rating(user_id=1, item_id=2, value=4, timestamp=1),
         ]
-        vec = featurize_user(ratings, items, 1).features
+        vec = featurize_users(ratings, items, [1])[0]
         assert vec[GENRES.index("Action")] == pytest.approx(2 / 3)
         assert vec[GENRES.index("War")] == pytest.approx(1 / 3)
 
     def test_cold_user_raises(self):
         items = {1: Item(item_id=1, title="t", genres=frozenset({"Comedy"}))}
         with pytest.raises(ColdUserError):
-            featurize_user([], items, 1)
+            featurize_users([], items, [1])
 
     def test_matches_recount_oracle_and_normalization(self):
         n_cases = 0
@@ -126,7 +122,7 @@ class TestPrediction:
         clf = self._classifier()
         # ages 25 and 35 sit on pure genre axes 2 and 3; their midpoint ties
         midpoint = (clf.centroids[2] + clf.centroids[3]) / 2.0
-        assert predict_age_group(clf, midpoint) == 25
+        assert clf.predict(midpoint) == 25
 
     def test_always_returns_a_known_group_and_matches_oracle(self):
         rng = np.random.default_rng(11)
@@ -141,12 +137,3 @@ class TestPrediction:
             )
             n_cases += 1
         assert n_cases == 5000
-
-
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    clf = AgeClassifier(centroids=rng.dirichlet(np.ones(N_GENRES), size=len(AGE_GROUPS)))
-    path = tmp_path / "classifier.csv"
-    write_classifier_csv(clf, path)
-    loaded = read_classifier_csv(path)
-    assert np.allclose(loaded.centroids, clf.centroids, atol=0)

@@ -10,14 +10,11 @@ from longtailrec.cf import (
     ItemBasedCF,
     RatingMatrix,
     UserBasedCF,
-    predict_rating,
     similarity_vector,
-    top_n_item_based,
-    top_n_user_based,
     user_mean,
-    user_similarity,
 )
 from longtailrec.dataset import Rating
+from longtailrec.harness import _rank_candidates
 
 from conftest import make_random_instance
 from oracles import (
@@ -37,6 +34,20 @@ def matrix_from(rows):
         for u, i, v in [r[:3]]
     ]
     return ratings, RatingMatrix(ratings)
+
+
+def pair_similarity(m: RatingMatrix, u: int, v: int) -> float:
+    """Entry ``v`` of ``u``'s similarity vector."""
+    return float(similarity_vector(m, u)[m.uidx(v)])
+
+
+def predict_one(model, u: int, j: int) -> float:
+    return float(model.predict_many(u, [j])[0])
+
+
+def unrated_of(train: RatingMatrix, u: int) -> list[int]:
+    rated = set(train.item_ids[train.rated_item_indices(u)].tolist())
+    return [int(i) for i in train.item_ids if int(i) not in rated]
 
 
 class TestUserMean:
@@ -69,52 +80,48 @@ class TestUserMean:
 class TestUserSimilarity:
     def test_identical_ratings_give_one(self):
         _, m = matrix_from([(1, 1, 5), (1, 2, 3), (2, 1, 5), (2, 2, 3)])
-        assert user_similarity(m, 1, 2) == pytest.approx(1.0)
+        assert pair_similarity(m, 1, 2) == pytest.approx(1.0)
 
     def test_negated_deviations_give_minus_one(self):
         _, m = matrix_from([(1, 1, 5), (1, 2, 3), (2, 1, 3), (2, 2, 5)])
-        assert user_similarity(m, 1, 2) == pytest.approx(-1.0)
+        assert pair_similarity(m, 1, 2) == pytest.approx(-1.0)
 
     def test_hand_computed_three_item_overlap(self):
         # u devs (2,0,-2), v devs (1,-1,0) -> 2 / (sqrt(8)*sqrt(2)) = 0.5
         _, m = matrix_from([(1, 1, 5), (1, 2, 3), (1, 3, 1), (2, 1, 4), (2, 2, 2), (2, 3, 3)])
-        assert user_similarity(m, 1, 2) == pytest.approx(0.5)
+        assert pair_similarity(m, 1, 2) == pytest.approx(0.5)
 
     def test_thin_overlap_and_constant_ratings_degenerate_to_zero(self):
         _, m = matrix_from([(1, 1, 5), (2, 1, 5), (2, 2, 3)])
-        assert user_similarity(m, 1, 2) == 0.0  # overlap 1 < min_overlap
+        assert pair_similarity(m, 1, 2) == 0.0  # overlap 1 < min_overlap
         _, m2 = matrix_from([(1, 1, 4), (1, 2, 4), (2, 1, 5), (2, 2, 3)])
-        assert user_similarity(m2, 1, 2) == 0.0  # u's deviations all zero
+        assert pair_similarity(m2, 1, 2) == 0.0  # u's deviations all zero
 
     def test_self_similarity_rejected(self):
-        _, m = matrix_from([(1, 1, 5), (1, 2, 3)])
-        with pytest.raises(ValueError):
-            user_similarity(m, 1, 1)
+        # a user is never its own neighbor: the self entry is 0
+        _, m = matrix_from([(1, 1, 5), (1, 2, 3), (2, 1, 5), (2, 2, 3)])
+        assert pair_similarity(m, 1, 1) == 0.0
+        assert pair_similarity(m, 1, 2) == pytest.approx(1.0)
 
     def test_symmetry_bounds_and_oracle_parity_property(self):
         """Pairwise checks across many random instances (the bulk case budget)."""
         n_pair_cases = 0
-        for seed in range(850):
+        for seed in range(1100):  # about 10^4 pairs of warm users
             inst = make_random_instance(seed=seed, max_users=8, max_items=12, max_ratings=40)
-            users = [int(u) for u in inst.train.user_ids]
-            vectors = {}
-            for u in users:
-                if inst.train.user_rating_counts[inst.train.uidx(u)] == 0:
-                    continue
-                vectors[u] = similarity_vector(inst.train, u)
+            t = inst.train
+            # users with no training ratings have no similarity vector
+            users = [int(u) for u in t.user_ids if t.user_rating_counts[t.uidx(int(u))] > 0]
+            vectors = {u: similarity_vector(t, u) for u in users}
             for a in range(len(users)):
                 for b in range(a + 1, len(users)):
                     u, v = users[a], users[b]
-                    s_uv = user_similarity(inst.train, u, v)
-                    s_vu = user_similarity(inst.train, v, u)
+                    s_uv = vectors[u][t.uidx(v)]
+                    s_vu = vectors[v][t.uidx(u)]
                     assert s_uv == pytest.approx(s_vu, abs=1e-12)
                     assert abs(s_uv) <= 1.0 + 1e-9
                     assert s_uv == pytest.approx(
                         oracle_pearson(inst.ratings, u, v), abs=1e-9
                     )
-                    # the batched vector path agrees with the scalar path
-                    if u in vectors:
-                        assert vectors[u][inst.train.uidx(v)] == pytest.approx(s_uv, abs=1e-12)
                     n_pair_cases += 1
         assert n_pair_cases >= 10_000
 
@@ -134,13 +141,14 @@ class TestUserSimilarity:
                 user_ids=inst.train.user_ids.tolist(),
                 item_ids=inst.train.item_ids.tolist(),
             )
-            users = [int(u) for u in inst.train.user_ids]
-            for a in range(len(users)):
-                for b in range(a + 1, len(users)):
-                    s0 = user_similarity(inst.train, users[a], users[b])
-                    s1 = user_similarity(m_shift, users[a], users[b])
-                    assert s0 == pytest.approx(s1, abs=1e-9)
-                    n_cases += 1
+            t = inst.train
+            for u in t.user_ids:
+                if t.user_rating_counts[t.uidx(int(u))] == 0:
+                    continue
+                s0 = similarity_vector(t, int(u))
+                s1 = similarity_vector(m_shift, int(u))
+                assert np.allclose(s0, s1, atol=1e-9)
+                n_cases += len(s0) - 1
         assert n_cases >= 300
 
 
@@ -152,7 +160,7 @@ class TestUserBasedPrediction:
             (3, 1, 1), (3, 2, 5), (3, 3, 3),  # mu_3 = 3, same
         ]
         _, m = matrix_from(rows)
-        assert predict_rating(m, 1, 3) == pytest.approx(3.0)
+        assert predict_one(UserBasedCF(m), 1, 3) == pytest.approx(3.0)
 
     def test_single_full_similarity_neighbor(self):
         rows = [
@@ -161,18 +169,18 @@ class TestUserBasedPrediction:
         ]
         _, m = matrix_from(rows)
         # mu_2 = 11/3; pred = 2 + (5 - 11/3) = 10/3
-        assert predict_rating(m, 1, 3) == pytest.approx(2 + (5 - 11 / 3))
+        assert predict_one(UserBasedCF(m), 1, 3) == pytest.approx(2 + (5 - 11 / 3))
 
     def test_unrated_by_anyone_falls_back_to_user_mean(self):
         ratings = [Rating(1, 1, 4, 0), Rating(1, 2, 2, 0)]
         m = RatingMatrix(ratings, item_ids=[1, 2, 9])
-        assert predict_rating(m, 1, 9) == pytest.approx(3.0)
+        assert predict_one(UserBasedCF(m), 1, 9) == pytest.approx(3.0)
 
     def test_cold_user_raises(self):
         ratings = [Rating(1, 1, 4, 0)]
         m = RatingMatrix(ratings, user_ids=[1, 5])
         with pytest.raises(ColdUserError):
-            predict_rating(m, 5, 1)
+            predict_one(UserBasedCF(m), 5, 1)
 
     def test_clamped_to_rating_scale_and_oracle_parity(self):
         n_cases = 0
@@ -199,7 +207,7 @@ class TestUserBasedPrediction:
             (3, 1, 1), (3, 2, 5), (3, 3, 1),   # sim(1,3)=-1
         ]
         ratings, m = matrix_from(rows)
-        got = UserBasedCF(m, k_neighbors=1).predict(1, 3)
+        got = predict_one(UserBasedCF(m, k_neighbors=1), 1, 3)
         expected = oracle_predict_user_based(ratings, 1, 3, k_neighbors=1)
         assert got == pytest.approx(expected)
         # mu_1=3, neighbor 2 (sim 1, dev 5-11/3) -> 3 + 4/3, clamped to [1,5]
@@ -207,13 +215,17 @@ class TestUserBasedPrediction:
 
 
 class TestTopN:
+    """Top-k ranking runs through the harness's one ranking function."""
+
     def test_n_zero_gives_empty(self, tiny):
         u = tiny.warmest_user()
-        assert top_n_user_based(tiny.train, u, 0) == []
+        model = UserBasedCF(tiny.train)
+        assert _rank_candidates(model, tiny.train, u, unrated_of(tiny.train, u), 0) == ()
 
     def test_n_beyond_catalog_returns_all_unrated_ranked(self, tiny):
         u = tiny.warmest_user()
-        got = top_n_user_based(tiny.train, u, 10_000)
+        model = UserBasedCF(tiny.train)
+        got = _rank_candidates(model, tiny.train, u, unrated_of(tiny.train, u), 10_000)
         rated = tiny.rated_items_of(u)
         assert set(got) == set(int(i) for i in tiny.train.item_ids) - rated
         assert len(got) == len(set(got))
@@ -227,20 +239,19 @@ class TestTopN:
                 uidx = inst.train.uidx(u)
                 if inst.train.user_rating_counts[uidx] == 0:
                     continue
-                rated = inst.rated_items_of(u)
-                unrated = [int(i) for i in inst.train.item_ids if int(i) not in rated]
+                unrated = unrated_of(inst.train, u)
                 if not unrated:
                     continue
                 scored = [
                     (
-                        -model.predict(u, j),
+                        -predict_one(model, u, j),
                         -inst.train.popularity_of(j),
                         j,
                     )
                     for j in unrated
                 ]
-                expected = [j for *_, j in sorted(scored)]
-                assert model.top_n(u, len(unrated)) == expected
+                expected = tuple(j for *_, j in sorted(scored))
+                assert _rank_candidates(model, inst.train, u, unrated, len(unrated)) == expected
 
     def test_shift_invariance_of_ranking_away_from_clamp(self):
         n_cases = 0
@@ -268,7 +279,10 @@ class TestTopN:
                 if ((p0 > 1.0) & (p0 < 5.0) & (p1 > 1.0) & (p1 < 5.0)).all():
                     # no clamping in either variant: predictions shift exactly
                     assert np.allclose(p1, p0 + 1.0, atol=1e-9)
-                    assert base_model.top_n(u, 5) == shift_model.top_n(u, 5)
+                    unrated = unrated_of(inst.train, u)
+                    assert _rank_candidates(
+                        base_model, inst.train, u, unrated, 5
+                    ) == _rank_candidates(shift_model, m_shift, u, unrated, 5)
                     n_cases += 1
         assert n_cases >= 100
 
@@ -283,12 +297,12 @@ class TestItemBased:
         ]
         ratings, m = matrix_from(rows)
         assert oracle_adjusted_cosine(ratings, 1, 2) > 0
-        assert ItemBasedCF(m).predict(1, 2) == pytest.approx(4.0)
+        assert predict_one(ItemBasedCF(m), 1, 2) == pytest.approx(4.0)
 
     def test_no_similar_items_falls_back_to_mean(self):
         rows = [(1, 1, 5), (1, 2, 3), (2, 3, 4)]
         ratings, m = matrix_from(rows)
-        assert ItemBasedCF(m).predict(1, 3) == pytest.approx(4.0)  # mu_1
+        assert predict_one(ItemBasedCF(m), 1, 3) == pytest.approx(4.0)  # mu_1
 
     def test_similarity_symmetry_and_cache(self):
         for seed in range(30):
@@ -324,45 +338,13 @@ class TestItemBased:
 
     def test_top_n_matches_user_based_tie_rules(self, tiny):
         u = tiny.warmest_user()
-        got = top_n_item_based(tiny.train, u, 5)
+        model = ItemBasedCF(tiny.train)
+        unrated = unrated_of(tiny.train, u)
+        got = _rank_candidates(model, tiny.train, u, unrated, 5)
         assert len(got) == min(5, len(tiny.items) - len(tiny.rated_items_of(u)))
         assert not set(got) & tiny.rated_items_of(u)
-
-
-class TestNeighborCache:
-    def test_export_then_load_reproduces_predictions(self, tmp_path, tiny):
-        model = UserBasedCF(tiny.train)
-        warm = [
-            int(u)
-            for u in tiny.train.user_ids
-            if tiny.train.user_rating_counts[tiny.train.uidx(int(u))] > 0
-        ]
-        base = {u: model.predict_many(u, tiny.train.item_ids) for u in warm}
-        path = tmp_path / "neighbors.csv"
-        model.export_neighbors(path, warm)
-
-        fresh = UserBasedCF(tiny.train)
-        fresh.load_neighbors(path)
-        for u in warm:
-            assert np.allclose(fresh.predict_many(u, tiny.train.item_ids), base[u], atol=1e-12)
-
-    def test_export_top_k_truncates(self, tmp_path, tiny):
-        model = UserBasedCF(tiny.train)
-        warm = [
-            int(u)
-            for u in tiny.train.user_ids
-            if tiny.train.user_rating_counts[tiny.train.uidx(int(u))] > 0
-        ]
-        path = tmp_path / "neighbors.csv"
-        model.export_neighbors(path, warm, top_k=1)
-        import csv as _csv
-
-        with open(path, newline="") as fh:
-            rows = list(_csv.DictReader(fh))
-        per_user: dict[str, int] = {}
-        for row in rows:
-            per_user[row["user_id"]] = per_user.get(row["user_id"], 0) + 1
-        assert all(v <= 1 for v in per_user.values())
+        scored = sorted((-predict_one(model, u, j), -tiny.train.popularity_of(j), j) for j in unrated)
+        assert got == tuple(j for *_, j in scored[:5])
 
 
 class TestRatingMatrix:

@@ -21,7 +21,7 @@ from longtailrec.harness import (
     run_experiment,
 )
 from longtailrec.cf import RatingMatrix
-from longtailrec.dataset import Rating
+from longtailrec.dataset import Rating, warm_user_ids
 from longtailrec.memetic import InjectionParams, MemeticConfig
 from longtailrec.objectives import ObjectiveWeights
 from longtailrec.synth import SynthConfig
@@ -116,6 +116,27 @@ class TestPreparation:
                 ]
             }
             assert not set(prepared.universes[u]) & rated
+
+    def test_catalog_eligibility_matches_brute_force_recount(self):
+        base = prepare_experiment(toy_config(candidate_universe="catalog"))
+        catalog = sorted(base.dataset.items)
+        unrated = {}
+        for u in warm_user_ids(base.split.train, 5):
+            if base.test_by_user.get(u):
+                rated = {r.item_id for r in base.split.train if r.user_id == u}
+                unrated[u] = tuple(i for i in catalog if i not in rated)
+        # a list length between the smallest and largest universe excludes someone
+        k = int(np.median([len(v) for v in unrated.values()]))
+        expected = [u for u in sorted(unrated) if len(unrated[u]) >= k]
+        assert 0 < len(expected) < len(unrated)
+
+        prepared = prepare_experiment(toy_config(candidate_universe="catalog", k=k))
+        assert list(prepared.eligible_users) == expected
+        assert prepared.universes == {u: unrated[u] for u in expected}
+
+        sub = prepare_experiment(toy_config(candidate_universe="catalog", k=k, subsample_users=5))
+        assert set(sub.eligible_users) <= set(expected)
+        assert sub.universes == {u: unrated[u] for u in sub.eligible_users}
 
     def test_subsample_is_seeded_and_stable(self):
         a = prepare_experiment(toy_config(subsample_users=10))

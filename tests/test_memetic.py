@@ -3,6 +3,8 @@ memetic optimization loop."""
 
 from __future__ import annotations
 
+import csv
+import itertools
 import math
 
 import numpy as np
@@ -10,23 +12,24 @@ import pytest
 
 from longtailrec.cf import ColdUserError, UserBasedCF
 from longtailrec.dataset import GENRES
+from longtailrec.harness import _write_traces_csv
+from longtailrec import memetic
 from longtailrec.memetic import (
+    GenerationTrace,
     InjectionParams,
     MemeticConfig,
+    OptimizationResult,
     ServingHistory,
+    _crossover_indices,
     _local_search_batch,
-    crossover,
+    _mutate_indices,
     initialize_population,
     inject_items,
     injection_probability,
-    local_search,
-    mutate,
     optimize_user,
-    record_served,
     same_age_item_means,
-    trace_lines,
 )
-from longtailrec.objectives import CandidateList, ObjectiveContext, ObjectiveWeights
+from longtailrec.objectives import ObjectiveContext, ObjectiveWeights
 from longtailrec.profiles import build_age_genre_profiles, build_dynamics_curves
 
 from conftest import make_random_instance
@@ -58,13 +61,9 @@ class TestServingHistory:
         h = ServingHistory({10: 2, 4: 7})
         path = tmp_path / "history.csv"
         h.write_csv(path)
-        assert ServingHistory.read_csv(path).as_dict() == h.as_dict()
-
-    def test_record_served_helper_accepts_candidate_list(self):
-        h = ServingHistory()
-        record_served(h, CandidateList(user_id=1, items=(5, 6)))
-        record_served(h, [6])
-        assert h.as_dict() == {5: 1, 6: 2}
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(int(r["item_id"]), int(r["count"])) for r in rows] == [(4, 7), (10, 2)]
 
 
 class TestInjectionProbability:
@@ -223,56 +222,68 @@ class TestInitializePopulation:
 
 class TestCrossover:
     def test_identical_parents_pass_through(self, rng):
-        parent = CandidateList(user_id=1, items=(4, 9, 2))
-        child = crossover(parent, parent, rng)
-        assert child.items == parent.items
-
-    def test_parent_mismatch_rejected(self, rng):
-        a = CandidateList(user_id=1, items=(1, 2))
-        with pytest.raises(ValueError, match="different users"):
-            crossover(a, CandidateList(user_id=2, items=(1, 2)), rng)
-        with pytest.raises(ValueError, match="different lengths"):
-            crossover(a, CandidateList(user_id=1, items=(1, 2, 3)), rng)
+        parent = [4, 9, 2]
+        child = _crossover_indices(parent, parent, rng)
+        assert child == parent
 
     def test_children_valid_and_closed_over_parent_union(self):
         master = np.random.default_rng(16)
         n_cases = 0
         for _ in range(10_000):
             k = int(master.integers(2, 7))
-            ids = master.choice(np.arange(1, 15), size=12, replace=False)
-            pa = CandidateList(1, tuple(int(i) for i in master.choice(ids, size=k, replace=False)))
-            pb = CandidateList(1, tuple(int(i) for i in master.choice(ids, size=k, replace=False)))
-            child = crossover(pa, pb, master, pool=[int(i) for i in ids])
-            assert child.k == k
-            assert len(set(child.items)) == k
-            assert set(child.items) <= set(pa.items) | set(pb.items)
+            pa = master.choice(12, size=k, replace=False).tolist()
+            pb = master.choice(12, size=k, replace=False).tolist()
+            child = _crossover_indices(pa, pb, master)
+            assert len(child) == k
+            assert len(set(child)) == k
+            assert set(child) <= set(pa) | set(pb)
             n_cases += 1
         assert n_cases == 10_000
 
 
 class TestMutate:
     def test_rate_zero_is_identity(self, rng):
-        individual = CandidateList(1, (3, 8, 5))
-        assert mutate(individual, [1, 2, 3, 5, 8], 0.0, rng).items == (3, 8, 5)
+        assert _mutate_indices([3, 1, 4], 5, 0.0, rng) == [3, 1, 4]
 
     def test_no_legal_replacement_is_identity(self, rng):
-        individual = CandidateList(1, (3, 8, 5))
-        assert mutate(individual, [3, 5, 8], 1.0, rng).items == (3, 8, 5)
+        assert _mutate_indices([2, 0, 1], 3, 1.0, rng) == [2, 0, 1]
 
     def test_mutants_valid_in_bulk(self):
         master = np.random.default_rng(17)
         n_cases = 0
         for _ in range(5000):
             k = int(master.integers(2, 7))
-            pool = [int(i) for i in master.choice(np.arange(1, 20), size=12, replace=False)]
-            items = tuple(int(i) for i in master.choice(pool, size=k, replace=False))
+            individual = master.choice(12, size=k, replace=False).tolist()
             rate = float(master.uniform(0, 1))
-            child = mutate(CandidateList(1, items), pool, rate, master)
-            assert child.k == k
-            assert len(set(child.items)) == k
-            assert set(child.items) <= set(pool)
+            child = _mutate_indices(individual, 12, rate, master)
+            assert len(child) == k
+            assert len(set(child)) == k
+            assert all(0 <= g < 12 for g in child)
             n_cases += 1
         assert n_cases == 5000
+
+    def test_replacement_matches_mask_reference(self):
+        """Same draws, same mutants as picking from a mask of the free pool indices."""
+
+        def reference(individual, n_pool, rate, rng):
+            child = np.array(individual)
+            for pos in np.flatnonzero(rng.random(child.size) < rate):
+                mask = np.ones(n_pool, dtype=bool)
+                mask[child] = False
+                options = np.flatnonzero(mask)
+                if options.size:
+                    child[pos] = options[rng.integers(options.size)]
+            return child.tolist()
+
+        master = np.random.default_rng(18)
+        for case in range(2000):
+            n_pool = int(master.integers(3, 15))
+            k = int(master.integers(1, n_pool + 1))
+            individual = master.choice(n_pool, size=k, replace=False).tolist()
+            rate = float(master.uniform(0, 1))
+            got = _mutate_indices(individual, n_pool, rate, np.random.default_rng(case))
+            want = reference(individual, n_pool, rate, np.random.default_rng(case))
+            assert got == want
 
 
 def small_context(inst, rng, k=3):
@@ -317,18 +328,6 @@ class TestLocalSearch:
                 assert (row >= 0).all() and (row < len(ctx.pool_items)).all()
             n_proposals += 5 * 8
         assert n_proposals == 12_000
-
-    def test_candidate_wrapper_and_pool_membership_check(self, rng):
-        inst = make_random_instance(seed=41, max_users=4, max_items=12, min_items=6)
-        ctx = small_context(inst, rng)
-        ids = sorted(inst.items)
-        start = CandidateList(1, tuple(ids[:3]))
-        improved = local_search(start, ctx, trials=10, rng=rng)
-        assert len(set(improved.items)) == 3
-        assert set(improved.items) <= set(ids)
-        outside = CandidateList(1, (max(ids) + 1, ids[0], ids[1]))
-        with pytest.raises(ValueError, match="outside the pool"):
-            local_search(outside, ctx, trials=1, rng=rng)
 
 
 class TestSameAgeItemMeans:
@@ -458,6 +457,22 @@ class TestOptimizeUser:
                 n_transitions += 1
         assert n_transitions >= 1000
 
+    def test_elite_regression_error_names_the_user(self, monkeypatch):
+        inst = make_random_instance(seed=52, max_users=6, max_items=15, min_items=10)
+        user = pick_user(inst)
+
+        def worst_lists(children, ctx, trials, rng):
+            lists = np.array(list(itertools.combinations(range(len(ctx.pool_items)), ctx.k)))
+            return np.repeat(lists[[np.argmax(ctx.fitness(lists))]], len(children), axis=0)
+
+        monkeypatch.setattr(memetic, "_local_search_batch", worst_lists)
+        kwargs = optimizer_setup(inst)
+        kwargs["config"] = MemeticConfig(
+            population_size=10, generations=1, elitism_count=0, rng_seed=1
+        )
+        with pytest.raises(RuntimeError, match=f"for user {user} at generation 1"):
+            optimize_user(user, **kwargs)
+
     def test_cold_and_unknown_users_rejected(self):
         inst = make_random_instance(seed=52, max_users=6, max_items=15, min_items=10)
         user = pick_user(inst)
@@ -577,10 +592,16 @@ class TestOptimizeUser:
         assert result.pool_size >= 3
 
 
-def test_trace_lines_format():
-    from longtailrec.memetic import GenerationTrace
-
-    lines = trace_lines(
-        [GenerationTrace(0, 0.5, 0.75), GenerationTrace(1, 0.25, 0.5)]
+def test_trace_lines_format(tmp_path):
+    trace = (GenerationTrace(0, 0.5, 0.75), GenerationTrace(1, 0.25, 0.5))
+    result = OptimizationResult(
+        user_id=3, best=None, objectives=None, fitness=0.25, trace=trace,
+        age_group=1, target_long_tail=0, pool_size=3, n_injected=0,
     )
-    assert lines == ["0,0.5,0.75", "1,0.25,0.5"]
+    path = tmp_path / "traces.csv"
+    _write_traces_csv(path, {3: result})
+    assert path.read_text().splitlines() == [
+        "user_id,generation,best_fitness,mean_fitness",
+        "3,0,0.5,0.75",
+        "3,1,0.25,0.5",
+    ]

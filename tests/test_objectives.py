@@ -1,6 +1,12 @@
-"""The four list objectives, scalarization, and the pooled evaluation context."""
+"""The four list objectives, scalarization, and the pooled evaluation context.
+
+Every objective and the fitness normalization are checked on
+`ObjectiveContext`, the one evaluator the optimizer runs.
+"""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -9,18 +15,11 @@ from longtailrec.dataset import GENRES, Item, PopularityPartition
 from longtailrec.objectives import (
     CandidateList,
     ObjectiveContext,
-    ObjectiveVector,
     ObjectiveWeights,
-    PopulationStats,
-    obj_accuracy,
-    obj_dynamic_quota,
-    obj_genre_distance,
-    obj_long_tail_participation,
-    scalarize,
 )
 
 from conftest import make_random_instance
-from oracles import oracle_objective_values, oracle_scalarize
+from oracles import oracle_objective_values
 
 
 def partition_from_counts(counts: dict[int, int], head: set[int]) -> PopularityPartition:
@@ -31,6 +30,52 @@ def partition_from_counts(counts: dict[int, int], head: set[int]) -> PopularityP
         long_tail=frozenset(ids - head),
         head_item_fraction=max(0.01, min(0.99, len(head) / max(len(ids), 1))),
     )
+
+
+def one_genre_items(ids, genre="Drama") -> dict[int, Item]:
+    return {i: Item(item_id=i, title=f"t{i}", genres=frozenset({genre})) for i in ids}
+
+
+def genre_profile(genre: str) -> np.ndarray:
+    pgu = np.zeros(len(GENRES))
+    pgu[GENRES.index(genre)] = 1.0
+    return pgu
+
+
+def make_context(
+    pool,
+    k,
+    partition=None,
+    preds=None,
+    items=None,
+    pgu=None,
+    target=0,
+    weights=None,
+) -> ObjectiveContext:
+    """A context over `pool`; unset inputs are flat (zero popularity, rating 3,
+    one shared genre, uniform profile)."""
+    pool = sorted(pool)
+    return ObjectiveContext(
+        user_id=1,
+        pool_items=pool,
+        k=k,
+        partition=partition or partition_from_counts({i: 0 for i in pool}, head=set()),
+        predictions=preds or {i: 3.0 for i in pool},
+        items=items or one_genre_items(pool),
+        pgu=np.full(len(GENRES), 1 / len(GENRES)) if pgu is None else pgu,
+        target_lt=target,
+        weights=weights or ObjectiveWeights(),
+    )
+
+
+def encode(ctx: ObjectiveContext, *lists) -> np.ndarray:
+    """Index-encode item-id lists against the context's pool."""
+    index_of = {int(i): n for n, i in enumerate(ctx.pool_items)}
+    return np.array([[index_of[int(i)] for i in lst] for lst in lists], dtype=np.int64)
+
+
+def objectives_of(ctx: ObjectiveContext, *lists) -> np.ndarray:
+    return ctx.objectives(encode(ctx, *lists))
 
 
 class TestCandidateList:
@@ -75,13 +120,13 @@ class TestWeights:
 class TestLongTailParticipation:
     def test_all_zero_popularity(self):
         part = partition_from_counts({1: 0, 2: 0, 3: 0}, head=set())
-        lst = CandidateList(user_id=1, items=(1, 2, 3))
-        assert obj_long_tail_participation(lst, part) == 0.0
+        ctx = make_context([1, 2, 3], k=3, partition=part)
+        assert objectives_of(ctx, (1, 2, 3))[0, 0] == 0.0
 
     def test_sums_counts(self):
         part = partition_from_counts({1: 100, 2: 50, 3: 25}, head={1})
-        lst = CandidateList(user_id=1, items=(1, 2, 3))
-        assert obj_long_tail_participation(lst, part) == 175.0
+        ctx = make_context([1, 2, 3], k=3, partition=part)
+        assert objectives_of(ctx, (1, 2, 3))[0, 0] == 175.0
 
     def test_less_popular_swap_strictly_decreases(self):
         rng = np.random.default_rng(5)
@@ -91,18 +136,17 @@ class TestLongTailParticipation:
             counts = {i: int(rng.integers(0, 50)) for i in range(1, n + 1)}
             part = partition_from_counts(counts, head=set())
             k = int(rng.integers(2, n))
-            items = rng.choice(np.arange(1, n + 1), size=k, replace=False)
-            lst = CandidateList(user_id=1, items=tuple(int(i) for i in items))
-            base = obj_long_tail_participation(lst, part)
+            items = tuple(int(i) for i in rng.choice(np.arange(1, n + 1), size=k, replace=False))
             pos = int(rng.integers(k))
-            outside = [i for i in counts if i not in set(lst.items)]
+            outside = [i for i in counts if i not in set(items)]
             if not outside:
                 continue
             repl = int(rng.choice(outside))
-            swapped = list(lst.items)
+            swapped = list(items)
             swapped[pos] = repl
-            new = obj_long_tail_participation(CandidateList(1, tuple(swapped)), part)
-            delta = counts[repl] - counts[lst.items[pos]]
+            ctx = make_context(counts, k=k, partition=part)
+            base, new = objectives_of(ctx, items, swapped)[:, 0]
+            delta = counts[repl] - counts[items[pos]]
             if delta < 0:
                 assert new < base
             elif delta == 0:
@@ -115,11 +159,11 @@ class TestLongTailParticipation:
 
 class TestAccuracyObjective:
     def test_extremes(self):
-        preds5 = {i: 5.0 for i in range(10)}
-        preds1 = {i: 1.0 for i in range(10)}
-        lst = CandidateList(user_id=1, items=tuple(range(10)))
-        assert obj_accuracy(lst, preds5) == pytest.approx(0.02)
-        assert obj_accuracy(lst, preds1) == pytest.approx(0.1)
+        lst = tuple(range(1, 11))
+        ctx5 = make_context(lst, k=10, preds={i: 5.0 for i in lst})
+        ctx1 = make_context(lst, k=10, preds={i: 1.0 for i in lst})
+        assert objectives_of(ctx5, lst)[0, 1] == pytest.approx(0.02)
+        assert objectives_of(ctx1, lst)[0, 1] == pytest.approx(0.1)
 
     def test_higher_prediction_swap_strictly_decreases(self):
         rng = np.random.default_rng(6)
@@ -129,8 +173,6 @@ class TestAccuracyObjective:
             preds = {i: float(rng.uniform(1, 5)) for i in range(1, n + 1)}
             k = int(rng.integers(2, n))
             items = tuple(int(i) for i in rng.choice(np.arange(1, n + 1), size=k, replace=False))
-            lst = CandidateList(user_id=1, items=items)
-            base = obj_accuracy(lst, preds)
             pos = int(rng.integers(k))
             outside = [i for i in preds if i not in set(items)]
             if not outside:
@@ -138,7 +180,8 @@ class TestAccuracyObjective:
             repl = int(rng.choice(outside))
             swapped = list(items)
             swapped[pos] = repl
-            new = obj_accuracy(CandidateList(1, tuple(swapped)), preds)
+            ctx = make_context(preds, k=k, preds=preds)
+            base, new = objectives_of(ctx, items, swapped)[:, 1]
             if preds[repl] > preds[items[pos]]:
                 assert new < base
             elif preds[repl] < preds[items[pos]]:
@@ -150,22 +193,22 @@ class TestAccuracyObjective:
 class TestQuotaAndGenreBounds:
     def test_quota_examples(self):
         part = partition_from_counts({i: 1 for i in range(1, 11)}, head={1, 2, 3, 4, 5, 6})
-        four_lt = CandidateList(1, (7, 8, 9, 10, 1, 2, 3, 4, 5, 6))
-        assert obj_dynamic_quota(four_lt, part, target_count=4) == 0
-        all_head = CandidateList(1, (1, 2, 3, 4, 5, 6))
-        assert obj_dynamic_quota(all_head, part, target_count=6) == 6 - 0
+        four_lt = (7, 8, 9, 10, 1, 2, 3, 4, 5, 6)
+        ctx = make_context(range(1, 11), k=10, partition=part, target=4)
+        assert objectives_of(ctx, four_lt)[0, 2] == 0
+        all_head = (1, 2, 3, 4, 5, 6)
+        ctx = make_context(range(1, 11), k=6, partition=part, target=6)
+        assert objectives_of(ctx, all_head)[0, 2] == 6 - 0
 
     def test_genre_distance_extremes(self):
         items = {
             1: Item(item_id=1, title="a", genres=frozenset({"Comedy"})),
             2: Item(item_id=2, title="b", genres=frozenset({"Action"})),
         }
-        pgu_comedy = np.zeros(len(GENRES))
-        pgu_comedy[GENRES.index("Comedy")] = 1.0
-        only_comedy = CandidateList(1, (1,))
-        only_action = CandidateList(1, (2,))
-        assert obj_genre_distance(only_comedy, items, pgu_comedy) == pytest.approx(0.0)
-        assert obj_genre_distance(only_action, items, pgu_comedy) == pytest.approx(2.0)
+        ctx = make_context([1, 2], k=1, items=items, pgu=genre_profile("Comedy"))
+        only_comedy, only_action = objectives_of(ctx, (1,), (2,))[:, 3]
+        assert only_comedy == pytest.approx(0.0)
+        assert only_action == pytest.approx(2.0)
 
     def test_bounds_hold_on_random_lists(self):
         rng = np.random.default_rng(7)
@@ -175,75 +218,97 @@ class TestQuotaAndGenreBounds:
             ids = sorted(inst.items)
             k = int(rng.integers(1, min(8, len(ids)) + 1))
             items = tuple(int(i) for i in rng.choice(ids, size=k, replace=False))
-            lst = CandidateList(1, items)
             target = int(rng.integers(0, k + 1))
-            q = obj_dynamic_quota(lst, inst.partition, target)
-            assert 0 <= q <= k
             pgu = rng.dirichlet(np.ones(len(GENRES)))
-            g = obj_genre_distance(lst, inst.items, pgu)
-            assert 0.0 <= g <= 2.0 + 1e-12
+            ctx = make_context(
+                ids, k=k, partition=inst.partition, items=inst.items, pgu=pgu, target=target
+            )
+            row = objectives_of(ctx, items)[0]
+            assert 0 <= row[2] <= k
+            assert 0.0 <= row[3] <= 2.0 + 1e-12
             n_cases += 1
         assert n_cases == 500
 
 
-class TestScalarize:
-    def _population(self, rng, size=8):
-        vectors = []
-        for _ in range(size):
-            vectors.append(
-                ObjectiveVector(
-                    long_tail_participation=float(rng.uniform(0, 300)),
-                    accuracy_obj=float(rng.uniform(0.02, 0.1)),
-                    dynamic_quota=int(rng.integers(0, 11)),
-                    genre_distance=float(rng.uniform(0, 2)),
-                )
-            )
-        return vectors
+def oracle_fitness(row, pool_pops, pool_preds, k, weights):
+    """Weighted sum of the objectives normalized by the bounds any k-subset of
+    the pool can reach: popularity and rating sums by enumeration, the quota
+    gap in [0, k] and the genre distance in [0, 2]; a flat range scores 0."""
+    pop_sums = [sum(c) for c in itertools.combinations(pool_pops, k)]
+    acc_values = [1.0 / sum(c) for c in itertools.combinations(pool_preds, k)]
+    bounds = [
+        (min(pop_sums), max(pop_sums)),
+        (min(acc_values), max(acc_values)),
+        (0.0, float(k)),
+        (0.0, 2.0),
+    ]
+    total = 0.0
+    for value, (lo, hi), w in zip(row, bounds, weights):
+        total += w * (0.0 if hi <= lo else (value - lo) / (hi - lo))
+    return total
 
+
+class TestScalarize:
     def test_population_best_and_worst(self):
-        rng = np.random.default_rng(8)
-        vectors = self._population(rng)
-        arr = np.stack([v.as_array() for v in vectors])
-        best = ObjectiveVector(*arr.min(axis=0)[:2], int(arr.min(axis=0)[2]), arr.min(axis=0)[3])
-        worst = ObjectiveVector(*arr.max(axis=0)[:2], int(arr.max(axis=0)[2]), arr.max(axis=0)[3])
-        stats = PopulationStats.from_vectors(vectors + [best, worst])
-        w = ObjectiveWeights()
-        assert scalarize(best, stats, w) == pytest.approx(0.0)
-        assert scalarize(worst, stats, w) == pytest.approx(1.0)
+        # Items 1-3 reach every lower bound together, items 4-6 every upper one.
+        counts = {1: 0, 2: 0, 3: 0, 4: 100, 5: 100, 6: 100}
+        part = partition_from_counts(counts, head={4, 5, 6})
+        preds = {1: 5.0, 2: 5.0, 3: 5.0, 4: 1.0, 5: 1.0, 6: 1.0}
+        items = {**one_genre_items([1, 2, 3], "Comedy"), **one_genre_items([4, 5, 6], "Action")}
+        ctx = make_context(
+            counts, k=3, partition=part, preds=preds, items=items,
+            pgu=genre_profile("Comedy"), target=3,
+        )
+        best, worst = ctx.fitness(encode(ctx, (1, 2, 3), (4, 5, 6)))
+        assert best == pytest.approx(0.0)
+        assert worst == pytest.approx(1.0)
 
     def test_flat_component_contributes_zero(self):
-        v = ObjectiveVector(10.0, 0.05, 3, 1.0)
-        stats = PopulationStats(mins=v.as_array(), maxs=v.as_array())
-        assert scalarize(v, stats, ObjectiveWeights()) == 0.0
+        # Equal popularity everywhere: all weight on that component scores 0.
+        part = partition_from_counts({i: 10 for i in range(1, 6)}, head=set())
+        preds = {i: float(i) for i in range(1, 6)}
+        ctx = make_context(
+            range(1, 6), k=2, partition=part, preds=preds,
+            weights=ObjectiveWeights(1.0, 0.0, 0.0, 0.0),
+        )
+        fit = ctx.fitness(encode(ctx, *itertools.combinations(range(1, 6), 2)))
+        assert (fit == 0.0).all()
 
     def test_single_component_difference_orders_candidates(self):
-        a = ObjectiveVector(10.0, 0.05, 3, 1.0)
-        b = ObjectiveVector(20.0, 0.05, 3, 1.0)
-        stats = PopulationStats.from_vectors([a, b])
-        w = ObjectiveWeights()
-        assert scalarize(a, stats, w) < scalarize(b, stats, w)
+        part = partition_from_counts({1: 10, 2: 20, 3: 5}, head=set())
+        ctx = make_context([1, 2, 3], k=2, partition=part)
+        a, b = ctx.fitness(encode(ctx, (1, 3), (2, 3)))
+        assert a < b
 
     def test_domination_monotonicity_and_oracle_parity(self):
         rng = np.random.default_rng(9)
         n_cases = 0
-        for _ in range(4000):
-            vectors = self._population(rng, size=6)
-            stats = PopulationStats.from_vectors(vectors)
+        for seed in range(4000):
+            inst = make_random_instance(seed=seed, max_users=4, max_items=9, min_items=3)
+            ids = sorted(inst.items)
+            k = int(rng.integers(1, min(4, len(ids)) + 1))
+            preds = {i: float(rng.uniform(1, 5)) for i in ids}
             weights = ObjectiveWeights.normalized(rng.uniform(0.01, 1, size=4).tolist())
-            raw = [v.as_array().tolist() for v in vectors]
-            for v in vectors:
-                got = scalarize(v, stats, weights)
-                expected = oracle_scalarize(v.as_array().tolist(), raw, weights.as_array().tolist())
-                assert got == pytest.approx(expected, abs=1e-12)
-            a, b = vectors[0].as_array(), vectors[1].as_array()
+            ctx = make_context(
+                ids, k=k, partition=inst.partition, preds=preds, items=inst.items,
+                pgu=rng.dirichlet(np.ones(len(GENRES))), target=int(rng.integers(0, k + 1)),
+                weights=weights,
+            )
+            pop = np.stack([rng.choice(len(ids), size=k, replace=False) for _ in range(2)])
+            objs = ctx.objectives(pop)
+            fit = ctx.fitness_from_objectives(objs)
+            pool_pops = [inst.partition.popularity(i) for i in ids]
+            pool_preds = [preds[i] for i in ids]
+            for row, f in zip(objs, fit):
+                expected = oracle_fitness(
+                    row.tolist(), pool_pops, pool_preds, k, weights.as_array().tolist()
+                )
+                assert f == pytest.approx(expected, abs=1e-9)
+            a, b = objs
             lo = np.minimum(a, b)
-            dominated = ObjectiveVector(float(a[0]), float(a[1]), int(a[2]), float(a[3]))
-            dominating = ObjectiveVector(float(lo[0]), float(lo[1]), int(lo[2]), float(lo[3]))
-            stats2 = PopulationStats.from_vectors(vectors + [dominating])
-            f_dom = scalarize(dominating, stats2, weights)
-            f_base = scalarize(dominated, stats2, weights)
+            f_dom, f_base = ctx.fitness_from_objectives(np.stack([lo, a]))
             assert f_dom <= f_base + 1e-12
-            if (lo < a).any():
+            if (a - lo > 1e-9).any():
                 assert f_dom < f_base
             n_cases += 1
         assert n_cases == 4000
@@ -282,16 +347,6 @@ class TestObjectiveContext:
             genres = {i: sorted(item.genres) for i, item in inst.items.items()}
             for row, individual in enumerate(pop):
                 cand = ctx.candidate(individual)
-                assert objs[row, 0] == pytest.approx(
-                    obj_long_tail_participation(cand, inst.partition), abs=1e-9
-                )
-                assert objs[row, 1] == pytest.approx(obj_accuracy(cand, preds), abs=1e-12)
-                assert objs[row, 2] == pytest.approx(
-                    obj_dynamic_quota(cand, inst.partition, target), abs=0
-                )
-                assert objs[row, 3] == pytest.approx(
-                    obj_genre_distance(cand, inst.items, pgu), abs=1e-12
-                )
                 expected = oracle_objective_values(
                     list(cand.items),
                     dict(inst.partition.counts),
@@ -302,7 +357,10 @@ class TestObjectiveContext:
                     genres,
                     list(GENRES),
                 )
-                assert np.allclose(objs[row], expected, atol=1e-9)
+                assert objs[row, 0] == pytest.approx(expected[0], abs=1e-9)
+                assert objs[row, 1] == pytest.approx(expected[1], abs=1e-12)
+                assert objs[row, 2] == expected[2]
+                assert objs[row, 3] == pytest.approx(expected[3], abs=1e-12)
                 n_cases += 1
         assert n_cases >= 1500
 
