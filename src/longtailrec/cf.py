@@ -20,6 +20,8 @@ RATING_MIN = 1.0
 RATING_MAX = 5.0
 DEFAULT_K_NEIGHBORS = 40
 DEFAULT_MIN_OVERLAP = 2
+# Width of the packed (column, rank, entry) sort keys of UserBasedCF.
+_KEY_BITS = 63
 
 
 class ColdUserError(ValueError):
@@ -93,6 +95,16 @@ class RatingMatrix:
         except KeyError:
             raise KeyError(f"unknown item {item_id}") from None
 
+    def item_columns(self, item_ids: Sequence[int]) -> np.ndarray:
+        """Column of each item id; KeyError names the first id not in the catalog."""
+        ids = np.asarray(item_ids)
+        cols = np.searchsorted(self.item_ids, ids)
+        found = cols < self.item_ids.size
+        found[found] = self.item_ids[cols[found]] == ids[found]
+        if not found.all():
+            raise KeyError(f"unknown item {ids[np.argmin(found)]}")
+        return cols
+
     def rated_item_indices(self, user_id: int) -> np.ndarray:
         u = self.uidx(user_id)
         return self.R.indices[self.R.indptr[u]:self.R.indptr[u + 1]]
@@ -100,15 +112,6 @@ class RatingMatrix:
     def rated_values(self, user_id: int) -> np.ndarray:
         u = self.uidx(user_id)
         return self.R.data[self.R.indptr[u]:self.R.indptr[u + 1]]
-
-    def raters_of(self, item_idx: int) -> np.ndarray:
-        return self.R_csc.indices[self.R_csc.indptr[item_idx]:self.R_csc.indptr[item_idx + 1]]
-
-    def ratings_of(self, item_idx: int) -> np.ndarray:
-        return self.R_csc.data[self.R_csc.indptr[item_idx]:self.R_csc.indptr[item_idx + 1]]
-
-    def popularity_of(self, item_id: int) -> int:
-        return int(self.item_counts[self.iidx(item_id)])
 
 
 def user_mean(train: RatingMatrix, user_id: int) -> float:
@@ -176,6 +179,8 @@ class UserBasedCF:
         k_neighbors: int = DEFAULT_K_NEIGHBORS,
         min_overlap: int = DEFAULT_MIN_OVERLAP,
     ):
+        if k_neighbors < 0:
+            raise ValueError(f"k_neighbors must be non-negative, got {k_neighbors}")
         self.train = train
         self.k_neighbors = k_neighbors
         self.min_overlap = min_overlap
@@ -190,40 +195,110 @@ class UserBasedCF:
         return sims
 
     def predict_many(self, user_id: int, item_ids: Sequence[int]) -> np.ndarray:
-        """Predicted ratings (clamped to [1,5]) for the given items."""
+        """Predicted ratings (clamped to [1,5]) for the given items.
+
+        An item's neighbours are its raters other than the user: the positive
+        ones when at least ``k_neighbors`` are positive, else all of them,
+        cut to the ``k_neighbors`` most similar (ties to the lower user index)
+        when there are more. The prediction is the user's mean plus the
+        |similarity|-weighted mean offset of the neighbours' ratings from
+        their own means, or the user's mean when the weights sum to 0.
+        """
         t = self.train
         mu_u = user_mean(t, user_id)  # raises ColdUserError for cold users
         sims = self.similarities(user_id)
         u = t.uidx(user_id)
-        means = np.nan_to_num(t.user_means)
-
-        out = np.empty(len(item_ids))
-        for pos, item_id in enumerate(item_ids):
-            j = t.iidx(item_id)
-            raters = t.raters_of(j)
-            vals = t.ratings_of(j)
-            keep = raters != u
-            raters, vals = raters[keep], vals[keep]
-            if raters.size == 0:
-                out[pos] = mu_u
-                continue
-            s = sims[raters]
-            positive = s > 0.0
-            if positive.sum() >= self.k_neighbors:
-                raters_c, vals_c, s_c = raters[positive], vals[positive], s[positive]
-            else:
-                raters_c, vals_c, s_c = raters, vals, s
-            if raters_c.size > self.k_neighbors:
-                order = np.lexsort((raters_c, -s_c))[: self.k_neighbors]
-                raters_c, vals_c, s_c = raters_c[order], vals_c[order], s_c[order]
-            denom = np.abs(s_c).sum()
-            if denom > 0.0:
-                num = (s_c * (vals_c - means[raters_c])).sum()
-                out[pos] = mu_u + num / denom
-            else:
-                out[pos] = mu_u
+        cols, inverse = np.unique(t.item_columns(item_ids), return_inverse=True)
+        out = self._column_predictions(u, mu_u, sims, cols)[inverse]
         np.clip(out, RATING_MIN, RATING_MAX, out=out)
         return out
+
+    def _column_predictions(
+        self, u: int, mu_u: float, sims: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
+        """Unclamped predictions for distinct columns, from one pass over their
+        CSC entries.
+
+        Every value is bit-identical to a loop over the columns one at a time:
+        a column's neighbour terms are summed by numpy's pairwise row sum in
+        the order that loop uses. That is stored (ascending user) order when
+        the neighbours are all of at most k raters or exactly k positive ones,
+        and rank order (-similarity, user index) when they are cut to k.
+        """
+        t = self.train
+        csc = t.R_csc
+        k = self.k_neighbors
+        rated = np.zeros(csc.shape[1], dtype=bool)
+        rated[t.R.indices[t.R.indptr[u]:t.R.indptr[u + 1]]] = True
+        n_r = csc.indptr[cols + 1] - csc.indptr[cols] - rated[cols]
+        many = np.flatnonzero(n_r > k) if k > 0 else np.empty(0, dtype=np.int64)
+
+        rank_bits = int(sims.size).bit_length()
+        entry_bits = int(n_r[many].sum()).bit_length()
+        if many.size > 1 and int(many.size).bit_length() + rank_bits + entry_bits > _KEY_BITS:
+            # The packed sort keys would overflow int64: split the request.
+            half = cols.size // 2
+            return np.concatenate((
+                self._column_predictions(u, mu_u, sims, cols[:half]),
+                self._column_predictions(u, mu_u, sims, cols[half:]),
+            ))
+
+        def entries_of(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """CSC positions of the raters of columns ``c`` other than u,
+            column after column in stored order, and their start offsets."""
+            starts = csc.indptr[c]
+            counts = csc.indptr[c + 1] - starts
+            ends = np.cumsum(counts)
+            pos = np.arange(ends[-1] if c.size else 0) + np.repeat(starts - ends + counts, counts)
+            if rated[c].any():
+                pos = pos[csc.indices[pos] != u]
+                counts = counts - rated[c]
+            return pos, np.cumsum(counts) - counts
+
+        num = np.zeros(cols.size)
+        den = np.zeros(cols.size)
+
+        def block_sums(rows: np.ndarray, pos: np.ndarray) -> None:
+            # Row sums of a (rows, n) block are numpy's pairwise sums over the
+            # same n terms, in the same order, as a 1-D ``.sum()``.
+            raters = csc.indices[pos]
+            s = sims[raters]
+            den[rows] = np.abs(s).sum(axis=1)
+            num[rows] = (s * (csc.data[pos] - t.user_means[raters])).sum(axis=1)
+
+        # At most k raters: all of them, in stored order, grouped by count.
+        few = np.flatnonzero(n_r <= k)
+        pos, starts = entries_of(cols[few])
+        for n in np.unique(n_r[few]):
+            if n > 0:
+                group = n_r[few] == n
+                block_sums(few[group], pos[starts[group][:, None] + np.arange(n)])
+
+        if many.size:
+            # More than k raters: sort packed (column, rank, entry) keys, so a
+            # column's first k keys are its top k raters by rank.
+            pos, starts = entries_of(cols[many])
+            rank = np.empty(sims.size, dtype=np.int64)
+            rank[np.argsort(-sims, kind="stable")] = np.arange(sims.size)
+            keys = np.repeat(np.arange(many.size) << (rank_bits + entry_bits), n_r[many])
+            keys |= rank[csc.indices[pos]] << entry_bits
+            keys |= np.arange(pos.size)
+            keys.sort()
+            top = keys[starts[:, None] + np.arange(k + 1)]
+            top_rank = (top >> entry_bits) & ((1 << rank_bits) - 1)
+            # Exactly k positive raters: the neighbours are those k, in stored
+            # order. Positive users hold the first ranks.
+            n_positive = int(np.count_nonzero(sims > 0.0))
+            exact = (top_rank[:, k - 1] < n_positive) & (top_rank[:, k] >= n_positive)
+            chosen = top[:, :k] & ((1 << entry_bits) - 1)
+            chosen[exact] = np.sort(chosen[exact], axis=1)
+            block_sums(many, pos[chosen])
+
+        out = np.full(cols.size, mu_u)
+        has_weight = den > 0.0
+        out[has_weight] = mu_u + num[has_weight] / den[has_weight]
+        return out
+
 
 class ItemBasedCF:
     """Adjusted-cosine item kNN baseline (ratings centered per user)."""

@@ -225,7 +225,7 @@ def _rank_candidates(
     """Top-k by predicted rating; ties broken by popularity then item id."""
     cand = np.asarray(universe, dtype=np.int64)
     preds = model.predict_many(user_id, cand)
-    pops = np.array([train.popularity_of(int(i)) for i in cand])
+    pops = train.item_counts[train.item_columns(cand)]
     order = np.lexsort((cand, -pops, -preds))
     return tuple(int(i) for i in cand[order[:k]])
 

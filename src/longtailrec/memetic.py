@@ -236,24 +236,49 @@ def _local_search_batch(
     trials: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized hill climbing: one random swap per individual per trial."""
+    """Vectorized hill climbing: one random swap per individual per trial.
+
+    Each trial draws a position in [0, k) then a pool index in [0, n_pool)
+    for every individual; all trials' draws come from one ``integers`` call,
+    which yields the same stream as one pair of calls per trial. A swap's
+    popularity sum, long-tail count and genre counts follow from the one item
+    that changes (exact sums of small integers); the accuracy column is
+    summed over the whole row as ``ObjectiveContext.objectives`` sums it, so
+    every fitness is the one a full evaluation gives.
+    """
     if trials <= 0:
         return population
     pop = population.copy()
     n, k = pop.shape
-    n_pool = len(ctx.pool_items)
+    highs = np.empty((trials, 2, n), dtype=np.int64)
+    highs[:, 0] = k
+    highs[:, 1] = len(ctx.pool_items)
+    draws = rng.integers(0, highs)
     fitness = ctx.fitness(pop)
+    pop_sum = ctx.pop_counts[pop].sum(axis=1)
+    lt_count = ctx.is_lt[pop].sum(axis=1)
+    genre_counts = ctx.genre_mat[pop.T].sum(axis=0)
+    objs = np.empty((n, 4))
     rows = np.arange(n)
-    for _ in range(trials):
-        positions = rng.integers(k, size=n)
-        replacements = rng.integers(n_pool, size=n)
+    for positions, replacements in draws:
+        removed = pop[rows, positions]
         candidate = pop.copy()
         candidate[rows, positions] = replacements
         duplicated = (candidate == replacements[:, None]).sum(axis=1) > 1
-        cand_fitness = ctx.fitness(candidate)
+        cand_pop_sum = pop_sum - ctx.pop_counts[removed] + ctx.pop_counts[replacements]
+        cand_lt = lt_count - ctx.is_lt[removed] + ctx.is_lt[replacements]
+        cand_genres = genre_counts - ctx.genre_mat[removed] + ctx.genre_mat[replacements]
+        objs[:, 0] = cand_pop_sum
+        objs[:, 1] = 1.0 / ctx.preds[candidate].sum(axis=1)
+        objs[:, 2] = np.abs(cand_lt - ctx.target_lt)
+        objs[:, 3] = ctx.genre_distance(cand_genres)
+        cand_fitness = ctx.fitness_from_objectives(objs)
         accept = ~duplicated & (cand_fitness < fitness)
         pop[accept] = candidate[accept]
         fitness[accept] = cand_fitness[accept]
+        pop_sum[accept] = cand_pop_sum[accept]
+        lt_count[accept] = cand_lt[accept]
+        genre_counts[accept] = cand_genres[accept]
     return pop
 
 
@@ -489,7 +514,9 @@ def optimize_user(
         population = np.vstack([elites, children]) if config.elitism_count else children
         fitness = ctx.fitness(population)
         best = float(fitness.min())
-        if best > trace[-1].best_fitness + 1e-9:
+        # Kept elites make the best fitness non-increasing; without them a
+        # generation may be worse than the last.
+        if config.elitism_count and best > trace[-1].best_fitness + 1e-9:
             raise RuntimeError(
                 f"elite fitness increased for user {user_id} at generation {generation}: "
                 f"{trace[-1].best_fitness} -> {best}"

@@ -37,7 +37,7 @@ def oracle_pearson(ratings, u, v, min_overlap=2):
     ru = by_user.get(u, {})
     rv = by_user.get(v, {})
     common = sorted(set(ru) & set(rv))
-    if len(common) < min_overlap:
+    if not common or len(common) < min_overlap:
         return 0.0
     xu = [ru[i] for i in common]
     xv = [rv[i] for i in common]

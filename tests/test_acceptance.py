@@ -62,6 +62,8 @@ from oracles import (
     oracle_predict_user_based,
 )
 
+pytestmark = pytest.mark.acceptance
+
 ML1M_ENV = "LONGTAILREC_ML1M"
 
 # Desk-scale dataset: a 1500-user facsimile with planted age/genre affinity,
@@ -151,6 +153,13 @@ def test_criterion_1_oracle_equivalence():
             want = oracle_predict_user_based(inst.ratings, int(u), j)
             assert abs(got - want) <= tol, f"seed {seed}: predict({u},{j}) {got} vs {want}"
             n_pred += 1
+        # One batched call per user over the whole catalog, entry by entry.
+        for u in rated_users:
+            batch = model.predict_many(u, item_ids)
+            for j, got in zip(item_ids, batch.tolist()):
+                want = oracle_predict_user_based(inst.ratings, u, j)
+                assert abs(got - want) <= tol, f"seed {seed}: batched predict({u},{j}) {got} vs {want}"
+                n_pred += 1
 
         # The four list objectives of a random list, as the optimizer evaluates them.
         k = min(5, len(item_ids))

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from longtailrec import cf
 from longtailrec.cf import (
     ColdUserError,
     ItemBasedCF,
@@ -214,6 +219,103 @@ class TestUserBasedPrediction:
         assert got == pytest.approx(3 + (5 - 11 / 3))
 
 
+def dense_matrix(seed: int, n_users: int = 90, n_items: int = 24, density: float = 0.6):
+    """Integer ratings (so similarities tie) on a dense block, where items
+    have more than 40 raters, plus catalog items nobody rated."""
+    rng = np.random.default_rng(seed)
+    ratings = [
+        Rating(3 * int(u) + 2, 2 * int(i) + 1, int(rng.integers(1, 6)), 0)
+        for u, i in zip(*np.nonzero(rng.random((n_users, n_items)) < density))
+    ]
+    return RatingMatrix(ratings, item_ids=range(1, 2 * n_items + 4))
+
+
+def prediction_digest() -> str:
+    """SHA-256 of the float64 bytes of multi-item ``predict_many`` calls on
+    seeded instances: K in {1, 3, 40}, min_overlap in {0, 2}; each request
+    holds the whole catalog (rated items and items without raters included)
+    in a seeded order, plus three repeated ids."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(20261020)
+    matrices = [make_random_instance(seed=seed).train for seed in range(40)]
+    matrices += [dense_matrix(seed) for seed in range(3)]
+    for train in matrices:
+        users = [int(u) for u in train.user_ids if train.user_rating_counts[train.uidx(int(u))] > 0]
+        for k_neighbors in (1, 3, 40):
+            for min_overlap in (0, 2):
+                model = UserBasedCF(train, k_neighbors=k_neighbors, min_overlap=min_overlap)
+                for u in users[:15]:
+                    ids = train.item_ids
+                    request = rng.permutation(np.concatenate([ids, rng.choice(ids, size=3)]))
+                    h.update(model.predict_many(u, request.tolist()).tobytes())
+    return h.hexdigest()
+
+
+# Recorded with the per-item prediction loop this vectorized pass replaced.
+PREDICTION_DIGEST = "83eaa67be2cb0bfae85dd3ec377769b689ad30486fc412e5152df04a69b0caf3"
+
+
+@st.composite
+def rating_cases(draw):
+    n_users = draw(st.integers(2, 12))
+    n_items = draw(st.integers(1, 8))
+    cells = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n_users - 1),
+                st.integers(0, n_items - 1),
+                st.sampled_from([1, 2, 3, 4, 5, 2.5]),
+            ),
+            min_size=1,
+            max_size=60,
+            unique_by=lambda c: c[:2],
+        )
+    )
+    ratings = [Rating(user_id=10 + 7 * u, item_id=5 + 3 * i, value=v, timestamp=0) for u, i, v in cells]
+    train = RatingMatrix(ratings, item_ids=[5 + 3 * i for i in range(n_items + 1)])
+    user = draw(st.sampled_from(sorted({r.user_id for r in ratings})))
+    request = draw(st.lists(st.sampled_from(train.item_ids.tolist()), min_size=1, max_size=12))
+    return ratings, train, user, request, draw(st.integers(0, 6)), draw(st.integers(0, 3))
+
+
+class TestPredictionExactness:
+    """The one-pass ``predict_many`` gives the bits of a per-item evaluation."""
+
+    def test_prediction_digest_unchanged(self):
+        assert prediction_digest() == PREDICTION_DIGEST
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(rating_cases())
+    def test_batched_call_equals_per_item_calls_and_oracle(self, case):
+        ratings, train, user, request, k_neighbors, min_overlap = case
+        model = UserBasedCF(train, k_neighbors=k_neighbors, min_overlap=min_overlap)
+        batched = model.predict_many(user, request)
+        singles = np.array([model.predict_many(user, [j])[0] for j in request])
+        assert batched.tobytes() == singles.tobytes()
+        for j, pred in zip(request, batched):
+            expected = oracle_predict_user_based(ratings, user, j, k_neighbors, min_overlap)
+            assert abs(pred - expected) <= 1e-9
+
+    def test_split_requests_give_the_same_bits(self, monkeypatch):
+        train = dense_matrix(5)
+        request = train.item_ids.tolist() * 2
+        models = [UserBasedCF(train, k_neighbors=k) for k in (1, 3, 40)]
+        whole = [model.predict_many(5, request) for model in models]
+        # Keys this narrow split every request down to single columns.
+        monkeypatch.setattr(cf, "_KEY_BITS", 8)
+        for model, expected in zip(models, whole):
+            assert model.predict_many(5, request).tobytes() == expected.tobytes()
+
+    def test_unknown_item_and_negative_k_rejected(self, tiny):
+        u = tiny.warmest_user()
+        model = UserBasedCF(tiny.train)
+        with pytest.raises(KeyError, match="unknown item 10000"):
+            model.predict_many(u, [int(tiny.train.item_ids[0]), 10_000, 20_000])
+        assert model.predict_many(u, []).shape == (0,)
+        with pytest.raises(ValueError, match="k_neighbors"):
+            UserBasedCF(tiny.train, k_neighbors=-1)
+
+
 class TestTopN:
     """Top-k ranking runs through the harness's one ranking function."""
 
@@ -245,7 +347,7 @@ class TestTopN:
                 scored = [
                     (
                         -predict_one(model, u, j),
-                        -inst.train.popularity_of(j),
+                        -inst.train.item_counts[inst.train.iidx(j)],
                         j,
                     )
                     for j in unrated
@@ -343,7 +445,8 @@ class TestItemBased:
         got = _rank_candidates(model, tiny.train, u, unrated, 5)
         assert len(got) == min(5, len(tiny.items) - len(tiny.rated_items_of(u)))
         assert not set(got) & tiny.rated_items_of(u)
-        scored = sorted((-predict_one(model, u, j), -tiny.train.popularity_of(j), j) for j in unrated)
+        counts = tiny.train.item_counts
+        scored = sorted((-predict_one(model, u, j), -counts[tiny.train.iidx(j)], j) for j in unrated)
         assert got == tuple(j for *_, j in scored[:5])
 
 
@@ -366,10 +469,17 @@ class TestRatingMatrix:
                 }
                 assert got == expected
             for i in inst.train.item_ids:
-                assert inst.train.popularity_of(int(i)) == by_item.get(int(i), 0)
+                assert inst.train.item_counts[inst.train.iidx(int(i))] == by_item.get(int(i), 0)
 
     def test_unknown_ids_raise(self, tiny):
         with pytest.raises(KeyError):
             tiny.train.uidx(10_000)
         with pytest.raises(KeyError):
             tiny.train.iidx(10_000)
+
+    def test_item_columns_match_iidx(self, tiny):
+        ids = [int(i) for i in tiny.train.item_ids][::-1] * 2
+        assert tiny.train.item_columns(ids).tolist() == [tiny.train.iidx(i) for i in ids]
+        for bad in ([10_000], [int(tiny.train.item_ids[0]), 0], [2.5]):
+            with pytest.raises(KeyError, match=f"unknown item {bad[-1]}"):
+                tiny.train.item_columns(bad)

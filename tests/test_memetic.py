@@ -330,6 +330,74 @@ class TestLocalSearch:
         assert n_proposals == 12_000
 
 
+    def test_one_draw_call_equals_per_trial_draws(self):
+        for seed in range(50):
+            for n_pool, k, n, trials in ((40, 10, 98, 20), (1, 1, 5, 3), (7, 3, 1, 4)):
+                for pre_draws in range(3):
+                    # Odd 32-bit draws leave half a uint64 in the generator's buffer.
+                    rng_a = np.random.default_rng(seed)
+                    rng_b = np.random.default_rng(seed)
+                    for rng in (rng_a, rng_b):
+                        rng.integers(0, 10, size=pre_draws)
+                    highs = np.empty((trials, 2, n), dtype=np.int64)
+                    highs[:, 0] = k
+                    highs[:, 1] = n_pool
+                    hoisted = rng_a.integers(0, highs)
+                    per_trial = np.array(
+                        [[rng_b.integers(k, size=n), rng_b.integers(n_pool, size=n)] for _ in range(trials)]
+                    )
+                    assert np.array_equal(hoisted, per_trial)
+                    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_incremental_swaps_match_full_evaluation(self):
+        """The former loop, which evaluated every swap with ``ctx.fitness``,
+        gives the same population and leaves the generator in the same state."""
+
+        def full_evaluation(population, ctx, trials, rng):
+            pop = population.copy()
+            n, k = pop.shape
+            fitness = ctx.fitness(pop)
+            rows = np.arange(n)
+            for _ in range(trials):
+                positions = rng.integers(k, size=n)
+                replacements = rng.integers(len(ctx.pool_items), size=n)
+                candidate = pop.copy()
+                candidate[rows, positions] = replacements
+                duplicated = (candidate == replacements[:, None]).sum(axis=1) > 1
+                cand_fitness = ctx.fitness(candidate)
+                accept = ~duplicated & (cand_fitness < fitness)
+                pop[accept] = candidate[accept]
+                fitness[accept] = cand_fitness[accept]
+            return pop
+
+        master = np.random.default_rng(29)
+        for seed in range(200):
+            inst = make_random_instance(seed=seed, max_users=4, max_items=30, min_items=8)
+            k = int(master.integers(1, 6))
+            ids = sorted(inst.items)
+            # One-decimal predictions make lists whose exact sums tie but
+            # whose float sums depend on the order they are added in.
+            ctx = ObjectiveContext(
+                user_id=1,
+                pool_items=ids,
+                k=k,
+                partition=inst.partition,
+                predictions={i: float(master.integers(10, 50)) / 10 for i in ids},
+                items=inst.items,
+                pgu=master.dirichlet(np.ones(len(GENRES))),
+                target_lt=int(master.integers(0, k + 1)),
+                weights=ObjectiveWeights(0.0, 1.0, 0.0, 0.0) if seed % 2 else ObjectiveWeights(),
+            )
+            pop = np.stack(
+                [master.choice(len(ctx.pool_items), size=k, replace=False) for _ in range(12)]
+            )
+            rng_a = np.random.default_rng(seed)
+            rng_b = np.random.default_rng(seed)
+            got = _local_search_batch(pop, ctx, 6, rng_a)
+            assert np.array_equal(got, full_evaluation(pop, ctx, 6, rng_b))
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
 class TestSameAgeItemMeans:
     def test_matches_recount(self):
         n_checked = 0
@@ -460,18 +528,40 @@ class TestOptimizeUser:
     def test_elite_regression_error_names_the_user(self, monkeypatch):
         inst = make_random_instance(seed=52, max_users=6, max_items=15, min_items=10)
         user = pick_user(inst)
-
-        def worst_lists(children, ctx, trials, rng):
-            lists = np.array(list(itertools.combinations(range(len(ctx.pool_items)), ctx.k)))
-            return np.repeat(lists[[np.argmax(ctx.fitness(lists))]], len(children), axis=0)
-
-        monkeypatch.setattr(memetic, "_local_search_batch", worst_lists)
+        # Each evaluation after the first scores one unit worse (fitness lies
+        # in [0, 1]), so even the kept elites seem to regress at generation 1.
+        calls = itertools.count()
+        evaluate = ObjectiveContext.fitness
+        monkeypatch.setattr(
+            ObjectiveContext, "fitness", lambda ctx, pop: evaluate(ctx, pop) + next(calls)
+        )
         kwargs = optimizer_setup(inst)
         kwargs["config"] = MemeticConfig(
-            population_size=10, generations=1, elitism_count=0, rng_seed=1
+            population_size=10, generations=1, elitism_count=2, rng_seed=1
         )
         with pytest.raises(RuntimeError, match=f"for user {user} at generation 1"):
             optimize_user(user, **kwargs)
+
+    def test_no_elites_may_regress_without_error(self):
+        regressions = 0
+        for seed in range(20):
+            inst = make_random_instance(seed=seed, max_users=6, max_items=15, min_items=10)
+            user = pick_user(inst)
+            if user is None:
+                continue
+            kwargs = optimizer_setup(inst)
+            kwargs["config"] = MemeticConfig(
+                population_size=6,
+                generations=8,
+                mutation_rate=0.5,
+                local_search_trials=0,
+                elitism_count=0,
+                rng_seed=seed,
+            )
+            result = optimize_user(user, **kwargs)
+            best = [g.best_fitness for g in result.trace]
+            regressions += any(b > a + 1e-9 for a, b in zip(best, best[1:]))
+        assert regressions > 0
 
     def test_cold_and_unknown_users_rejected(self):
         inst = make_random_instance(seed=52, max_users=6, max_items=15, min_items=10)
