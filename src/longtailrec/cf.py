@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import Rating
+from .dataset import Rating, item_positions
 
 RATING_MIN = 1.0
 RATING_MAX = 5.0
@@ -30,6 +30,10 @@ class ColdUserError(ValueError):
     def __init__(self, user_id: int):
         self.user_id = user_id
         super().__init__(f"user {user_id} has no training ratings")
+
+    def __reduce__(self):
+        # Pickled by worker processes: keep the message, which callers may extend.
+        return type(self), (self.user_id,), {"args": self.args}
 
 
 class RatingMatrix:
@@ -53,11 +57,10 @@ class RatingMatrix:
         self.user_ids = np.array(sorted(uids), dtype=np.int64)
         self.item_ids = np.array(sorted(iids), dtype=np.int64)
         self.user_index = {int(u): i for i, u in enumerate(self.user_ids)}
-        self.item_index = {int(i): j for j, i in enumerate(self.item_ids)}
         n_users, n_items = len(self.user_ids), len(self.item_ids)
 
         rows = np.fromiter((self.user_index[r.user_id] for r in ratings), dtype=np.int64, count=len(ratings))
-        cols = np.fromiter((self.item_index[r.item_id] for r in ratings), dtype=np.int64, count=len(ratings))
+        cols = self.item_columns(np.fromiter((r.item_id for r in ratings), dtype=np.int64, count=len(ratings)))
         vals = np.fromiter((r.value for r in ratings), dtype=np.float64, count=len(ratings))
 
         self.R = sp.csr_matrix((vals, (rows, cols)), shape=(n_users, n_items))
@@ -68,8 +71,6 @@ class RatingMatrix:
         self.Rsq.data = self.Rsq.data**2
         self.R_csc = self.R.tocsc()
 
-        counts = np.asarray(self.B.sum(axis=0)).ravel()
-        self.item_counts = counts.astype(np.int64)
         user_counts = np.asarray(self.B.sum(axis=1)).ravel()
         sums = np.asarray(self.R.sum(axis=1)).ravel()
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -90,20 +91,11 @@ class RatingMatrix:
             raise KeyError(f"unknown user {user_id}") from None
 
     def iidx(self, item_id: int) -> int:
-        try:
-            return self.item_index[item_id]
-        except KeyError:
-            raise KeyError(f"unknown item {item_id}") from None
+        return int(self.item_columns(item_id))
 
     def item_columns(self, item_ids: Sequence[int]) -> np.ndarray:
         """Column of each item id; KeyError names the first id not in the catalog."""
-        ids = np.asarray(item_ids)
-        cols = np.searchsorted(self.item_ids, ids)
-        found = cols < self.item_ids.size
-        found[found] = self.item_ids[cols[found]] == ids[found]
-        if not found.all():
-            raise KeyError(f"unknown item {ids[np.argmin(found)]}")
-        return cols
+        return item_positions(self.item_ids, item_ids)
 
     def rated_item_indices(self, user_id: int) -> np.ndarray:
         u = self.uidx(user_id)

@@ -3,7 +3,9 @@
 Subcommands: `ingest` (parse or synthesize a dataset and summarize it),
 `profile` (emit age/genre profiles and long-tail dynamics CSVs),
 `recommend --user` (optimize one user's list), `evaluate` and `compare`
-(run methods and report precision/novelty/aggregate diversity), and
+(one handler: run methods and report precision/novelty/aggregate diversity,
+with proposed-vs-baseline deltas; they differ only in the default
+`--methods`), and
 `serve-rounds` (simulate repeated serving with history updates).
 
 Errors print a machine-readable JSON record to stderr and exit nonzero.
@@ -92,13 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_arguments(p_rec)
     p_rec.add_argument("--user", type=int, required=True, help="target user id")
 
-    p_eval = sub.add_parser("evaluate", help="run methods and report metrics")
-    _add_common_arguments(p_eval)
-    p_eval.add_argument("--methods", nargs="+", choices=METHODS, default=["proposed"])
-
-    p_cmp = sub.add_parser("compare", help="run all methods and print a comparison table")
-    _add_common_arguments(p_cmp)
-    p_cmp.add_argument("--methods", nargs="+", choices=METHODS, default=list(METHODS))
+    for name, default_methods, help_text in (
+        ("evaluate", ["proposed"], "run methods and report metrics"),
+        ("compare", list(METHODS), "as evaluate, with all methods by default"),
+    ):
+        p_eval = sub.add_parser(name, help=help_text)
+        _add_common_arguments(p_eval)
+        p_eval.add_argument("--methods", nargs="+", choices=METHODS, default=default_methods)
 
     p_serve = sub.add_parser("serve-rounds", help="simulate R serving rounds with history updates")
     _add_common_arguments(p_serve)
@@ -162,8 +164,8 @@ def _cmd_ingest(args: argparse.Namespace) -> dict:
         "n_ratings": prepared.dataset.n_ratings,
         "n_train": len(prepared.split.train),
         "n_test": len(prepared.split.test),
-        "n_short_head": len(prepared.partition.short_head),
-        "n_long_tail": len(prepared.partition.long_tail),
+        "n_short_head": int((~prepared.partition.long_tail).sum()),
+        "n_long_tail": int(prepared.partition.long_tail.sum()),
         "n_eligible_users": len(prepared.eligible_users),
     }
 
@@ -199,29 +201,23 @@ def _cmd_recommend(args: argparse.Namespace) -> dict:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> dict:
+    """`evaluate` and `compare`: run the methods and report each, plus the
+    proposed method's deltas to every other method that ran."""
     config = _config_from_args(args, default_universe="test")
     outcome = run_experiment(config)
-    return {
+    reports = outcome.reports
+    payload = {
         "n_eligible_users": outcome.n_eligible,
-        "reports": {m: report_to_dict(r) | {"per_user": None} for m, r in outcome.reports.items()},
+        "reports": {
+            m: {key: v for key, v in report_to_dict(r).items() if key != "per_user"}
+            for m, r in reports.items()
+        },
         "artifacts": {k: str(v) for k, v in outcome.artifacts.items()},
     }
-
-
-def _cmd_compare(args: argparse.Namespace) -> dict:
-    config = _config_from_args(args, default_universe="test")
-    outcome = run_experiment(config)
-    rows = {}
-    for method, report in outcome.reports.items():
-        rows[method] = {
-            "precision": report.precision,
-            "novelty": "inf" if report.novelty_infinite else report.novelty,
-            "aggregate_diversity": report.aggregate_diversity,
-        }
-    deltas = {}
-    if "proposed" in outcome.reports:
-        base = outcome.reports["proposed"]
-        for method, report in outcome.reports.items():
+    base = reports.get("proposed")
+    if base is not None and len(reports) > 1:
+        deltas = {}
+        for method, report in reports.items():
             if method == "proposed":
                 continue
             entry = {"precision_delta": base.precision - report.precision}
@@ -232,12 +228,8 @@ def _cmd_compare(args: argparse.Namespace) -> dict:
             if not (base.novelty_infinite or report.novelty_infinite) and report.novelty:
                 entry["novelty_ratio"] = base.novelty / report.novelty
             deltas[method] = entry
-    return {
-        "n_eligible_users": outcome.n_eligible,
-        "methods": rows,
-        "proposed_vs": deltas,
-        "artifacts": {k: str(v) for k, v in outcome.artifacts.items()},
-    }
+        payload["proposed_vs"] = deltas
+    return payload
 
 
 def _cmd_serve_rounds(args: argparse.Namespace) -> dict:
@@ -264,7 +256,7 @@ _COMMANDS = {
     "profile": _cmd_profile,
     "recommend": _cmd_recommend,
     "evaluate": _cmd_evaluate,
-    "compare": _cmd_compare,
+    "compare": _cmd_evaluate,
     "serve-rounds": _cmd_serve_rounds,
 }
 

@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 logger = logging.getLogger(__name__)
 
 #: Canonical genre vocabulary, in the order genre vectors are indexed.
@@ -105,20 +107,38 @@ class SplitDataset:
     split_fraction: float
 
 
-@dataclass(frozen=True)
-class PopularityPartition:
-    """Per-item training rating counts plus the short-head / long-tail split."""
+def item_positions(catalog: np.ndarray, item_ids) -> np.ndarray:
+    """Position of each id (one id or an array) in the sorted ``catalog``;
+    KeyError names the first id not in it."""
+    ids = np.asarray(item_ids)
+    flat = ids.reshape(-1)
+    pos = np.searchsorted(catalog, flat)
+    found = pos < catalog.size
+    found[found] = catalog[pos[found]] == flat[found]
+    if not found.all():
+        raise KeyError(f"unknown item {flat[np.argmin(found)]}")
+    return pos.reshape(ids.shape)
 
-    counts: Mapping[int, int]
-    short_head: frozenset[int]
-    long_tail: frozenset[int]
+
+@dataclass(frozen=True, eq=False)
+class PopularityPartition:
+    """Per-item training rating counts plus the short-head / long-tail split,
+    as three arrays aligned to the sorted catalog ids."""
+
+    item_ids: np.ndarray  # sorted int64
+    counts: np.ndarray  # int64 training rating counts
+    long_tail: np.ndarray  # bool; False marks the short head
     head_item_fraction: float
 
-    def popularity(self, item_id: int) -> int:
-        return self.counts.get(item_id, 0)
+    def popularity(self, item_ids):
+        """Training rating count of one id (an int) or of an array of ids."""
+        pops = self.counts[item_positions(self.item_ids, item_ids)]
+        return int(pops) if pops.ndim == 0 else pops
 
-    def is_long_tail(self, item_id: int) -> bool:
-        return item_id in self.long_tail
+    def is_long_tail(self, item_ids):
+        """Long-tail membership of one id (a bool) or of an array of ids."""
+        lt = self.long_tail[item_positions(self.item_ids, item_ids)]
+        return bool(lt) if lt.ndim == 0 else lt
 
 
 def _parse_int(token: str, path, line_no: int, what: str) -> int:
@@ -250,22 +270,21 @@ def popularity_partition(
     if not train_ratings:
         raise ValueError("cannot build a popularity partition from an empty training set")
 
-    all_items = sorted(set(item_ids))
-    if not all_items:
+    all_items = np.unique(np.fromiter(item_ids, dtype=np.int64))
+    if not all_items.size:
         raise ValueError("no items supplied")
 
-    counts: dict[int, int] = {i: 0 for i in all_items}
-    for r in train_ratings:
-        if r.item_id in counts:
-            counts[r.item_id] += 1
+    rated = np.fromiter((r.item_id for r in train_ratings), dtype=np.int64, count=len(train_ratings))
+    rated = rated[np.isin(rated, all_items)]
+    counts = np.bincount(np.searchsorted(all_items, rated), minlength=all_items.size).astype(np.int64)
 
-    order = sorted(all_items, key=lambda i: (-counts[i], i))
-    n_head = math.ceil(head_item_fraction * len(all_items))
-    short_head = frozenset(order[:n_head])
-    long_tail = frozenset(order[n_head:])
+    order = np.lexsort((all_items, -counts))
+    n_head = math.ceil(head_item_fraction * all_items.size)
+    long_tail = np.ones(all_items.size, dtype=bool)
+    long_tail[order[:n_head]] = False
     return PopularityPartition(
+        item_ids=all_items,
         counts=counts,
-        short_head=short_head,
         long_tail=long_tail,
         head_item_fraction=head_item_fraction,
     )

@@ -220,12 +220,12 @@ def prepare_experiment(config: ExperimentConfig) -> PreparedExperiment:
 
 
 def _rank_candidates(
-    model, train: RatingMatrix, user_id: int, universe: Sequence[int], k: int
+    model, partition: PopularityPartition, user_id: int, universe: Sequence[int], k: int
 ) -> tuple[int, ...]:
     """Top-k by predicted rating; ties broken by popularity then item id."""
     cand = np.asarray(universe, dtype=np.int64)
     preds = model.predict_many(user_id, cand)
-    pops = train.item_counts[train.item_columns(cand)]
+    pops = partition.popularity(cand)
     order = np.lexsort((cand, -pops, -preds))
     return tuple(int(i) for i in cand[order[:k]])
 
@@ -266,40 +266,36 @@ def optimize_single(
 ) -> OptimizationResult:
     """Optimize one eligible user's list with the method's settings, seeded by
     ``(config.seed, round_index, user_id)`` so the result does not depend on
-    evaluation order or worker count."""
+    evaluation order or worker count.
+
+    An exception keeps its type; its message is prefixed with the user id,
+    the seed and the round, also when it comes back from a worker process."""
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, round_index, user_id])
     )
     kwargs = _memetic_kwargs(prepared, config, method)
-    return optimize_user(
-        user_id,
-        history=history,
-        candidate_items=prepared.universes[user_id],
-        rng=rng,
-        **kwargs,
-    )
+    try:
+        return optimize_user(
+            user_id,
+            history=history,
+            candidate_items=prepared.universes[user_id],
+            rng=rng,
+            **kwargs,
+        )
+    except Exception as exc:
+        exc.args = (f"user {user_id} (seed {config.seed}, round {round_index}): {exc}",)
+        raise
 
 
 _WORKER_STATE: dict = {}
 
 
 def _worker_init(prepared, config, method, history_counts, round_index):
-    _WORKER_STATE["prepared"] = prepared
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["method"] = method
-    _WORKER_STATE["history"] = ServingHistory(history_counts)
-    _WORKER_STATE["round_index"] = round_index
+    _WORKER_STATE["args"] = (prepared, config, method, ServingHistory(history_counts), round_index)
 
 
 def _worker_run(user_id: int) -> OptimizationResult:
-    return optimize_single(
-        user_id,
-        _WORKER_STATE["prepared"],
-        _WORKER_STATE["config"],
-        _WORKER_STATE["method"],
-        _WORKER_STATE["history"],
-        _WORKER_STATE["round_index"],
-    )
+    return optimize_single(user_id, *_WORKER_STATE["args"])
 
 
 def _recommend_all(
@@ -313,15 +309,11 @@ def _recommend_all(
     users = prepared.eligible_users
     recommended: dict[int, tuple[int, ...]] = {}
     results: dict[int, OptimizationResult] = {}
-    if method == "user-cf":
+    if method in ("user-cf", "item-cf"):
+        model = prepared.user_cf if method == "user-cf" else prepared.item_cf
         for u in users:
             recommended[u] = _rank_candidates(
-                prepared.user_cf, prepared.train_matrix, u, prepared.universes[u], config.k
-            )
-    elif method == "item-cf":
-        for u in users:
-            recommended[u] = _rank_candidates(
-                prepared.item_cf, prepared.train_matrix, u, prepared.universes[u], config.k
+                model, prepared.partition, u, prepared.universes[u], config.k
             )
     elif method in ("proposed", "plain-genetic"):
         if config.n_workers > 1 and len(users) > 1:

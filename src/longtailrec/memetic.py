@@ -40,15 +40,15 @@ class ServingHistory:
             if count > 0:
                 self._counts[int(item_id)] = int(count)
 
-    def times_served(self, item_id: int) -> int:
-        return self._counts.get(item_id, 0)
+    def times_served(self, item_ids):
+        """Serving count of one id (an int) or of each id of an array."""
+        if np.ndim(item_ids) == 0:
+            return self._counts.get(int(item_ids), 0)
+        return np.array([self._counts.get(i, 0) for i in np.asarray(item_ids).tolist()], dtype=np.int64)
 
     def record_served(self, items: Iterable[int]) -> None:
         for item_id in items:
             self._counts[int(item_id)] = self._counts.get(int(item_id), 0) + 1
-
-    def reset(self) -> None:
-        self._counts.clear()
 
     def as_dict(self) -> dict[int, int]:
         return dict(self._counts)
@@ -137,57 +137,72 @@ class OptimizationResult:
 
 
 def injection_probability(
-    item_id: int,
-    same_age_mean_rating: float,
+    item_ids,
+    same_age_mean_rating,
     history: ServingHistory,
     a: float = DEFAULT_INJECTION_DECAY,
-) -> float:
+):
     """Acceptance probability: mean same-age rating scaled to [0,1], decayed
-    exponentially in the number of times the item was already served."""
+    exponentially in the number of times the item was already served.
+
+    Takes one id and mean (returns a float) or aligned arrays of them. The
+    decay is ``math.exp`` of each distinct served count, so an array call
+    gives the bits of the scalar calls."""
     if a <= 0:
         raise ValueError(f"decay rate must be positive, got {a}")
-    if not 0.0 <= same_age_mean_rating <= RATING_MAX:
+    means = np.asarray(same_age_mean_rating, dtype=float)
+    bad = ~((means >= 0.0) & (means <= RATING_MAX))
+    if bad.any():
         raise ValueError(
-            f"same-age mean rating must lie in [0, {RATING_MAX}], got {same_age_mean_rating}"
+            f"same-age mean rating must lie in [0, {RATING_MAX}], got {means.reshape(-1)[np.argmax(bad)]}"
         )
-    n_served = history.times_served(item_id)
-    return same_age_mean_rating * math.exp(-a * n_served) / RATING_MAX
+    served, inverse = np.unique(history.times_served(item_ids), return_inverse=True)
+    decay = np.array([math.exp(-a * n) for n in served.tolist()])[inverse.reshape(means.shape)]
+    probs = means * decay / RATING_MAX
+    return float(probs) if probs.ndim == 0 else probs
 
 
 def inject_items(
-    candidate_bag: Mapping[int, float],
+    item_ids: Sequence[int],
+    same_age_means: Sequence[float],
     params: InjectionParams,
     history: ServingHistory,
     rng: np.random.Generator,
     target_count: int | None = None,
 ) -> list[int]:
-    """Sample distinct items from the bag by repeated accept/reject draws.
+    """Sample distinct items from the bag of ``item_ids`` (with their aligned
+    same-age mean ratings) by repeated accept/reject draws.
 
     Each attempt draws one bag item uniformly and accepts it with its
     injection probability; accepted items leave the bag. Stops after
     `target_count` acceptances or after `attempt_budget_factor * target_count`
     draws, whichever comes first, so an all-zero-probability bag terminates.
     """
-    if not candidate_bag:
+    ids = np.asarray(item_ids, dtype=np.int64)
+    means = np.asarray(same_age_means, dtype=float)
+    if ids.size == 0:
         raise ValueError("candidate bag is empty")
+    if ids.shape != means.shape or ids.ndim != 1:
+        raise ValueError(f"{ids.size} bag items but {means.size} same-age means")
     target = params.pool_size if target_count is None else int(target_count)
     if target < 1:
         raise ValueError(f"target_count must be positive, got {target}")
-    item_ids = np.array(sorted(candidate_bag), dtype=np.int64)
-    probs = np.array(
-        [injection_probability(int(i), candidate_bag[int(i)], history, params.a) for i in item_ids]
-    )
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    if (ids[1:] == ids[:-1]).any():
+        raise ValueError("candidate bag repeats items")
+    probs = injection_probability(ids, means[order], history, params.a)
     budget = params.attempt_budget_factor * target
     accepted: list[int] = []
-    n = len(item_ids)
+    n = len(ids)
     for _ in range(budget):
         if len(accepted) >= target or n == 0:
             break
         idx = int(rng.integers(n))
         if rng.random() < probs[idx]:
-            accepted.append(int(item_ids[idx]))
+            accepted.append(int(ids[idx]))
             n -= 1
-            item_ids[idx], item_ids[n] = item_ids[n], item_ids[idx]
+            ids[idx], ids[n] = ids[n], ids[idx]
             probs[idx], probs[n] = probs[n], probs[idx]
     return accepted
 
@@ -198,35 +213,34 @@ def initialize_population(
     k: int,
     population_size: int,
     rng: np.random.Generator,
-) -> list[tuple[int, ...]]:
-    """Build `population_size` lists of k distinct items, each mixing injected
-    and top-predicted items at a ratio drawn uniformly per individual."""
-    injected_arr = np.array(sorted(set(injected)), dtype=np.int64)
-    top_arr = np.array(list(dict.fromkeys(int(i) for i in top_predicted)), dtype=np.int64)
-    union = set(injected_arr.tolist()) | set(top_arr.tolist())
-    if len(union) < k:
+) -> np.ndarray:
+    """Build `population_size` lists of k distinct pool indices, each mixing
+    injected and top-predicted items at a ratio drawn uniformly per
+    individual. `top_predicted` is in rank order; returns an int64 (n, k)
+    array."""
+    injected_arr = np.unique(np.asarray(injected, dtype=np.int64))
+    top = np.asarray(top_predicted, dtype=np.int64)
+    top_arr = top[np.sort(np.unique(top, return_index=True)[1])]
+    n_union = np.union1d(injected_arr, top_arr).size
+    if n_union < k:
         raise ValueError(
-            f"only {len(union)} distinct candidate items available for lists of length {k}"
+            f"only {n_union} distinct candidate items available for lists of length {k}"
         )
-    population: list[tuple[int, ...]] = []
-    for _ in range(population_size):
+    population = np.empty((population_size, k), dtype=np.int64)
+    for row in population:
         ratio = rng.random()
         n_inj = min(len(injected_arr), int(round(ratio * k)))
-        picked: list[int] = []
         if n_inj > 0:
-            picked.extend(int(i) for i in rng.choice(injected_arr, size=n_inj, replace=False))
-        picked_set = set(picked)
-        remaining_top = top_arr[~np.isin(top_arr, list(picked_set) or [-1])]
-        n_rest = k - len(picked)
+            row[:n_inj] = rng.choice(injected_arr, size=n_inj, replace=False)
+        remaining_top = top_arr[~np.isin(top_arr, row[:n_inj])]
+        n_rest = k - n_inj
         if remaining_top.size >= n_rest:
-            picked.extend(int(i) for i in rng.choice(remaining_top, size=n_rest, replace=False))
+            row[n_inj:] = rng.choice(remaining_top, size=n_rest, replace=False)
         else:
-            picked.extend(int(i) for i in remaining_top)
-            picked_set = set(picked)
-            leftover_inj = injected_arr[~np.isin(injected_arr, list(picked_set) or [-1])]
-            shortfall = k - len(picked)
-            picked.extend(int(i) for i in rng.choice(leftover_inj, size=shortfall, replace=False))
-        population.append(tuple(picked))
+            n_picked = n_inj + remaining_top.size
+            row[n_inj:n_picked] = remaining_top
+            leftover_inj = injected_arr[~np.isin(injected_arr, row[:n_picked])]
+            row[n_picked:] = rng.choice(leftover_inj, size=k - n_picked, replace=False)
     return population
 
 
@@ -400,7 +414,7 @@ def optimize_user(
     rated_idx = train.rated_item_indices(user_id)
     if rated_idx.size < min_train_ratings:
         raise ColdUserError(user_id)
-    rated_ids = frozenset(int(i) for i in train.item_ids[rated_idx])
+    rated_ids = train.item_ids[rated_idx]
 
     # Resolve the age group driving the genre profile and long-tail quota.
     if age_source == "actual":
@@ -408,26 +422,22 @@ def optimize_user(
     elif age_source == "predicted":
         if classifier is None:
             raise ValueError("age_source='predicted' requires a classifier")
-        gmat = item_genre_matrix(items, [int(i) for i in train.item_ids[rated_idx]])
-        genre_counts = gmat.sum(axis=0)
+        genre_counts = item_genre_matrix(items, rated_ids.tolist()).sum(axis=0)
         total = genre_counts.sum()
         if total == 0:
             raise ColdUserError(user_id)
         age_group = classifier.predict(genre_counts / total)
     else:
         raise ValueError(f"unknown age_source {age_source!r}")
-    pgu = profiles[age_group].pgu
-    activity = int(rated_idx.size)
-    target_lt = target_long_tail_count(curves[age_group], activity, k)
+    target_lt = target_long_tail_count(curves[age_group], int(rated_idx.size), k)
 
-    # Candidate universe: caller-supplied item ids or the full unrated catalog.
+    # Candidate universe: the unrated candidate items (default: the catalog), sorted.
     if candidate_items is None:
-        universe = np.setdiff1d(train.item_ids, np.fromiter(rated_ids, dtype=np.int64, count=len(rated_ids)))
-    else:
-        universe = np.array(sorted(set(int(i) for i in candidate_items) - rated_ids), dtype=np.int64)
-        unknown = [int(i) for i in universe if int(i) not in train.item_index]
-        if unknown:
-            raise ValueError(f"candidate items not in catalog: {unknown[:5]}")
+        candidate_items = train.item_ids
+    universe = np.setdiff1d(np.asarray(candidate_items, dtype=np.int64), rated_ids)
+    unknown = universe[~np.isin(universe, train.item_ids)]
+    if unknown.size:
+        raise ValueError(f"candidate items not in catalog: {unknown[:5].tolist()}")
     if universe.size < k:
         raise ValueError(
             f"user {user_id} has only {universe.size} candidate items for lists of length {k}"
@@ -437,43 +447,39 @@ def optimize_user(
     order = np.lexsort((universe, -preds))
     top_pool = universe[order[: config.top_pool_size]]
 
-    injected: list[int] = []
+    injected = np.empty(0, dtype=np.int64)
     if use_injection:
-        if injection_scope == "catalog":
-            bag_ids = universe
-        else:
-            lt_mask = np.array([partition.is_long_tail(int(i)) for i in universe])
-            bag_ids = universe[lt_mask]
-        if bag_ids.size:
+        bag = universe if injection_scope == "catalog" else universe[partition.is_long_tail(universe)]
+        if bag.size:
             if age_item_means is None:
                 age_item_means = same_age_item_means(train, users)
             group_means = age_item_means.get(age_group)
-            bag: dict[int, float] = {}
-            for item_id in bag_ids:
-                col = train.item_index[int(item_id)]
-                m_i = float(group_means[col]) if group_means is not None else 0.0
-                bag[int(item_id)] = m_i
-            injected = inject_items(bag, injection, history, rng)
+            means = group_means[train.item_columns(bag)] if group_means is not None else np.zeros(bag.size)
+            injected = np.array(inject_items(bag, means, injection, history, rng), dtype=np.int64)
 
-    pool_ids = np.array(sorted(set(top_pool.tolist()) | set(injected)), dtype=np.int64)
-    pred_map = {int(i): float(p) for i, p in zip(universe, preds)}
+    # Item attributes aligned to the sorted pool; ids are looked up by array.
+    pool_ids = np.union1d(top_pool, injected)
     ctx = ObjectiveContext(
         user_id=user_id,
         pool_items=pool_ids,
         k=k,
-        partition=partition,
-        predictions=pred_map,
-        items=items,
-        pgu=pgu,
+        popularity=partition.popularity(pool_ids),
+        predictions=preds[np.searchsorted(universe, pool_ids)],
+        long_tail=partition.is_long_tail(pool_ids),
+        genres=item_genre_matrix(items, pool_ids.tolist()),
+        pgu=profiles[age_group].pgu,
         target_lt=target_lt,
         weights=weights,
     )
-    index_of = {int(i): idx for idx, i in enumerate(pool_ids)}
 
     if use_injection:
-        seeds = initialize_population(injected, top_pool, k, config.population_size, rng)
-        population = np.array(
-            [[index_of[i] for i in individual] for individual in seeds], dtype=np.int64
+        # The pool is sorted, so pool indices keep the order of the ids.
+        population = initialize_population(
+            np.searchsorted(pool_ids, injected),
+            np.searchsorted(pool_ids, top_pool),
+            k,
+            config.population_size,
+            rng,
         )
     else:
         # Ablation seeding: uniform k-subsets of the prediction pool.
@@ -532,7 +538,7 @@ def optimize_user(
     best_idx = int(np.argmin(fitness))
     best_individual = np.sort(population[best_idx])
     candidate = ctx.candidate(best_individual)
-    candidate.validate(rated_ids)
+    candidate.validate(frozenset(rated_ids.tolist()))
     return OptimizationResult(
         user_id=user_id,
         best=candidate,
@@ -542,5 +548,5 @@ def optimize_user(
         age_group=int(age_group),
         target_long_tail=int(target_lt),
         pool_size=int(pool_ids.size),
-        n_injected=len(injected),
+        n_injected=int(injected.size),
     )

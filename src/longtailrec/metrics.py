@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .dataset import PopularityPartition, Rating
 
 
@@ -54,14 +56,10 @@ def novelty(
 ) -> float:
     """Reciprocal of the summed training popularity over every recommended
     item occurrence; +inf when all recommended items are unrated in train."""
-    total = 0
-    n_recommended = 0
-    for items in recommended.values():
-        n_recommended += len(items)
-        for item_id in items:
-            total += partition.popularity(item_id)
-    if n_recommended == 0:
+    if not any(len(items) for items in recommended.values()):
         raise ValueError("no recommendations to evaluate")
+    every_item = np.fromiter((i for items in recommended.values() for i in items), dtype=np.int64)
+    total = int(partition.popularity(every_item).sum())
     if total == 0:
         return math.inf
     return 1.0 / total
@@ -126,8 +124,9 @@ def build_report(
         tests = test_by_user.get(user_id, {})
         mean = train_user_means[user_id]
         n_rel = sum(1 for i in items if tests.get(i) is not None and tests[i] > mean)
-        pop_sum = sum(partition.popularity(i) for i in items)
-        n_lt = sum(1 for i in items if partition.is_long_tail(i))
+        ids = np.asarray(items, dtype=np.int64)
+        pop_sum = int(partition.popularity(ids).sum())
+        n_lt = int(partition.is_long_tail(ids).sum())
         breakdown.append(
             UserBreakdown(
                 user_id=user_id,

@@ -4,19 +4,17 @@ Objectives per candidate list: summed item popularity (long-tail pressure),
 inverse summed predicted rating (accuracy pressure), absolute deviation from
 the activity/age long-tail quota, and L1 distance between the list's genre
 distribution and the age group's genre distribution. `ObjectiveContext`
-evaluates them over index-encoded lists drawn from one user's candidate pool
-and normalizes each by the bounds any k-subset of that pool can reach.
+evaluates them over index-encoded lists drawn from one user's candidate pool,
+from item attribute arrays aligned to that pool, and normalizes each by the
+bounds any k-subset of that pool can reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .dataset import Item, PopularityPartition
-from .profiles import item_genre_matrix
 
 
 @dataclass(frozen=True)
@@ -96,9 +94,10 @@ class ObjectiveContext:
         user_id: int,
         pool_items: Sequence[int],
         k: int,
-        partition: PopularityPartition,
-        predictions: Mapping[int, float],
-        items: Mapping[int, Item],
+        popularity: np.ndarray,
+        predictions: np.ndarray,
+        long_tail: np.ndarray,
+        genres: np.ndarray,
         pgu: np.ndarray,
         target_lt: int,
         weights: ObjectiveWeights,
@@ -110,10 +109,13 @@ class ObjectiveContext:
         self.user_id = user_id
         self.k = k
         self.pool_items = np.asarray(pool_items, dtype=np.int64)
-        self.pop_counts = np.array([partition.popularity(int(i)) for i in pool_items], dtype=float)
-        self.preds = np.array([predictions[int(i)] for i in pool_items], dtype=float)
-        self.is_lt = np.array([partition.is_long_tail(int(i)) for i in pool_items])
-        self.genre_mat = item_genre_matrix(items, [int(i) for i in pool_items])
+        self.pop_counts = np.asarray(popularity, dtype=float)
+        self.preds = np.asarray(predictions, dtype=float)
+        self.is_lt = np.asarray(long_tail, dtype=bool)
+        self.genre_mat = np.asarray(genres, dtype=float)
+        n = self.pool_items.size
+        if any(len(a) != n for a in (self.pop_counts, self.preds, self.is_lt, self.genre_mat)):
+            raise ValueError(f"item attributes must be aligned to the {n} pool items")
         self.pgu = np.asarray(pgu, dtype=float)
         self.target_lt = int(target_lt)
         self.weights = weights.as_array()

@@ -83,11 +83,6 @@ def build_age_genre_profiles(
     return profiles
 
 
-def activity_order(ratings: Sequence[Rating]) -> list[Rating]:
-    """A user's ratings in activity order (timestamp, then item_id)."""
-    return sorted(ratings, key=lambda r: (r.timestamp, r.item_id))
-
-
 def build_dynamics_curves(
     train: Sequence[Rating],
     users: Mapping[int, User],
@@ -104,28 +99,31 @@ def build_dynamics_curves(
     if n_bins < 2:
         raise ValueError(f"n_bins must be >= 2, got {n_bins}")
 
-    by_user: dict[int, list[Rating]] = {}
-    for r in train:
-        by_user.setdefault(r.user_id, []).append(r)
-
-    pooled: dict[int, list[tuple[int, bool]]] = {age: [] for age in AGE_GROUPS}
-    for user_id, rows in by_user.items():
-        age = users[user_id].age_group
-        bucket = pooled[age]
-        for idx, r in enumerate(activity_order(rows), start=1):
-            bucket.append((idx, partition.is_long_tail(r.item_id)))
+    # Every rating's activity index: its user's ratings ordered by
+    # timestamp, then item id.
+    n = len(train)
+    user = np.fromiter((r.user_id for r in train), dtype=np.int64, count=n)
+    item = np.fromiter((r.item_id for r in train), dtype=np.int64, count=n)
+    stamp = np.fromiter((r.timestamp for r in train), dtype=np.int64, count=n)
+    order = np.lexsort((item, stamp, user))
+    user_ids, starts, per_user = np.unique(user[order], return_index=True, return_counts=True)
+    activity = np.arange(n) - np.repeat(starts, per_user) + 1
+    user_ages = np.array([users[u].age_group for u in user_ids.tolist()], dtype=np.int64)
+    age = np.repeat(user_ages, per_user)
+    long_tail = partition.is_long_tail(item[order])
 
     curves: dict[int, DynamicsCurve] = {}
-    for age in AGE_GROUPS:
-        records = pooled[age]
-        if not records:
+    for group in AGE_GROUPS:
+        in_group = age == group
+        if not in_group.any():
             bins = tuple(
                 ActivityBin(lo=b + 1, hi=b + 1, share=0.5, population=0)
                 for b in range(n_bins)
             )
-            curves[age] = DynamicsCurve(age_group=age, bins=bins, synthesized=True)
+            curves[group] = DynamicsCurve(age_group=group, bins=bins, synthesized=True)
             continue
-        acts = np.array(sorted(t for t, _ in records), dtype=np.int64)
+        act_arr, lt_arr = activity[in_group], long_tail[in_group]
+        acts = np.sort(act_arr)
         n = acts.size
         ranges: list[tuple[int, int]] = []
         prev_hi = 0
@@ -137,15 +135,13 @@ def build_dynamics_curves(
             ranges.append((prev_hi + 1, hi))
             prev_hi = hi
 
-        act_arr = np.array([t for t, _ in records], dtype=np.int64)
-        lt_arr = np.array([lt for _, lt in records], dtype=bool)
         out_bins: list[ActivityBin] = []
         for lo, hi in ranges:
             mask = (act_arr >= lo) & (act_arr <= hi)
             population = int(mask.sum())
             share = float(lt_arr[mask].mean()) if population else 0.0
             out_bins.append(ActivityBin(lo=lo, hi=hi, share=share, population=population))
-        curves[age] = DynamicsCurve(age_group=age, bins=tuple(out_bins))
+        curves[group] = DynamicsCurve(age_group=group, bins=tuple(out_bins))
     return curves
 
 

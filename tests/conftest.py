@@ -8,6 +8,7 @@ degenerate statistics surface quickly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from longtailrec.dataset import (
     User,
     popularity_partition,
 )
+from longtailrec.objectives import ObjectiveContext, ObjectiveWeights
+from longtailrec.profiles import item_genre_matrix
 
 
 @dataclass
@@ -101,6 +104,55 @@ def make_random_instance(
         ratings=ratings,
         train=train,
         partition=partition,
+    )
+
+
+def partition_from_counts(
+    counts: Mapping[int, int], head, head_item_fraction: float = 0.2
+) -> PopularityPartition:
+    """A partition with the given per-item counts and short-head ids."""
+    ids = np.array(sorted(counts), dtype=np.int64)
+    return PopularityPartition(
+        item_ids=ids,
+        counts=np.array([counts[i] for i in ids.tolist()], dtype=np.int64),
+        long_tail=~np.isin(ids, list(head)),
+        head_item_fraction=head_item_fraction,
+    )
+
+
+def partition_counts(partition: PopularityPartition) -> dict[int, int]:
+    return dict(zip(partition.item_ids.tolist(), partition.counts.tolist()))
+
+
+def long_tail_ids(partition: PopularityPartition) -> set[int]:
+    return set(partition.item_ids[partition.long_tail].tolist())
+
+
+def pool_context(
+    pool_items,
+    k: int,
+    partition: PopularityPartition,
+    predictions: Mapping[int, float],
+    items: Mapping[int, Item],
+    pgu: np.ndarray,
+    target_lt: int,
+    weights: ObjectiveWeights,
+    user_id: int = 1,
+) -> ObjectiveContext:
+    """An ObjectiveContext whose item attributes are read from the partition,
+    a prediction dict and the item genres, aligned to ``pool_items``."""
+    ids = np.asarray(pool_items, dtype=np.int64)
+    return ObjectiveContext(
+        user_id=user_id,
+        pool_items=ids,
+        k=k,
+        popularity=partition.popularity(ids),
+        predictions=np.array([predictions[i] for i in ids.tolist()], dtype=float),
+        long_tail=partition.is_long_tail(ids),
+        genres=item_genre_matrix(items, ids.tolist()),
+        pgu=pgu,
+        target_lt=target_lt,
+        weights=weights,
     )
 
 

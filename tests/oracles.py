@@ -113,13 +113,6 @@ def oracle_predict_item_based(ratings, u, j, k_neighbors=40, min_overlap=2):
     return min(5.0, max(1.0, pred))
 
 
-def oracle_popularity(train_ratings):
-    counts: dict[int, int] = {}
-    for r in train_ratings:
-        counts[r.item_id] = counts.get(r.item_id, 0) + 1
-    return counts
-
-
 def oracle_partition(train_ratings, item_ids, head_fraction=0.2):
     """(counts, short_head set, long_tail set) by train count, ties by id."""
     counts = {i: 0 for i in item_ids}

@@ -48,11 +48,11 @@ from longtailrec.memetic import (
     optimize_user,
 )
 from longtailrec.metrics import aggregate_diversity, novelty, precision
-from longtailrec.objectives import ObjectiveContext, ObjectiveWeights
+from longtailrec.objectives import ObjectiveWeights
 from longtailrec.profiles import build_age_genre_profiles, build_dynamics_curves
 from longtailrec.synth import SynthConfig
 
-from conftest import make_random_instance
+from conftest import long_tail_ids, make_random_instance, pool_context
 from oracles import (
     oracle_aggregate_diversity,
     oracle_novelty,
@@ -169,8 +169,7 @@ def test_criterion_1_oracle_equivalence():
         target = int(rng.integers(0, k + 1))
         pgu = rng.random(len(GENRES))
         pgu /= pgu.sum()
-        ctx = ObjectiveContext(
-            user_id=1,
+        ctx = pool_context(
             pool_items=item_ids,
             k=k,
             partition=inst.partition,
@@ -185,7 +184,7 @@ def test_criterion_1_oracle_equivalence():
             list_items,
             counts,
             preds,
-            set(inst.partition.long_tail),
+            long_tail_ids(inst.partition),
             target,
             pgu.tolist(),
             {i: sorted(inst.items[i].genres) for i in item_ids},
@@ -244,8 +243,7 @@ def _closure_setup(seed: int, rng: np.random.Generator):
     preds = {i: float(rng.uniform(1.0, 5.0)) for i in item_ids}
     pgu = rng.random(len(GENRES))
     pgu /= pgu.sum()
-    ctx = ObjectiveContext(
-        user_id=1,
+    ctx = pool_context(
         pool_items=item_ids,
         k=k,
         partition=inst.partition,

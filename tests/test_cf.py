@@ -322,12 +322,12 @@ class TestTopN:
     def test_n_zero_gives_empty(self, tiny):
         u = tiny.warmest_user()
         model = UserBasedCF(tiny.train)
-        assert _rank_candidates(model, tiny.train, u, unrated_of(tiny.train, u), 0) == ()
+        assert _rank_candidates(model, tiny.partition, u, unrated_of(tiny.train, u), 0) == ()
 
     def test_n_beyond_catalog_returns_all_unrated_ranked(self, tiny):
         u = tiny.warmest_user()
         model = UserBasedCF(tiny.train)
-        got = _rank_candidates(model, tiny.train, u, unrated_of(tiny.train, u), 10_000)
+        got = _rank_candidates(model, tiny.partition, u, unrated_of(tiny.train, u), 10_000)
         rated = tiny.rated_items_of(u)
         assert set(got) == set(int(i) for i in tiny.train.item_ids) - rated
         assert len(got) == len(set(got))
@@ -347,13 +347,13 @@ class TestTopN:
                 scored = [
                     (
                         -predict_one(model, u, j),
-                        -inst.train.item_counts[inst.train.iidx(j)],
+                        -inst.partition.popularity(j),
                         j,
                     )
                     for j in unrated
                 ]
                 expected = tuple(j for *_, j in sorted(scored))
-                assert _rank_candidates(model, inst.train, u, unrated, len(unrated)) == expected
+                assert _rank_candidates(model, inst.partition, u, unrated, len(unrated)) == expected
 
     def test_shift_invariance_of_ranking_away_from_clamp(self):
         n_cases = 0
@@ -383,8 +383,8 @@ class TestTopN:
                     assert np.allclose(p1, p0 + 1.0, atol=1e-9)
                     unrated = unrated_of(inst.train, u)
                     assert _rank_candidates(
-                        base_model, inst.train, u, unrated, 5
-                    ) == _rank_candidates(shift_model, m_shift, u, unrated, 5)
+                        base_model, inst.partition, u, unrated, 5
+                    ) == _rank_candidates(shift_model, inst.partition, u, unrated, 5)
                     n_cases += 1
         assert n_cases >= 100
 
@@ -442,11 +442,10 @@ class TestItemBased:
         u = tiny.warmest_user()
         model = ItemBasedCF(tiny.train)
         unrated = unrated_of(tiny.train, u)
-        got = _rank_candidates(model, tiny.train, u, unrated, 5)
+        got = _rank_candidates(model, tiny.partition, u, unrated, 5)
         assert len(got) == min(5, len(tiny.items) - len(tiny.rated_items_of(u)))
         assert not set(got) & tiny.rated_items_of(u)
-        counts = tiny.train.item_counts
-        scored = sorted((-predict_one(model, u, j), -counts[tiny.train.iidx(j)], j) for j in unrated)
+        scored = sorted((-predict_one(model, u, j), -tiny.partition.popularity(j), j) for j in unrated)
         assert got == tuple(j for *_, j in scored[:5])
 
 
@@ -469,7 +468,7 @@ class TestRatingMatrix:
                 }
                 assert got == expected
             for i in inst.train.item_ids:
-                assert inst.train.item_counts[inst.train.iidx(int(i))] == by_item.get(int(i), 0)
+                assert inst.partition.popularity(int(i)) == by_item.get(int(i), 0)
 
     def test_unknown_ids_raise(self, tiny):
         with pytest.raises(KeyError):

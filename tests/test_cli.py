@@ -103,6 +103,7 @@ class TestSubcommands:
         assert code == 0
         payload = json.loads(out)
         assert list(payload["reports"]) == ["user-cf"]
+        assert "proposed_vs" not in payload
         report = payload["reports"]["user-cf"]
         assert 0.0 <= report["precision"] <= 1.0
         assert (tmp_path / "summary.csv").exists()
@@ -120,7 +121,8 @@ class TestSubcommands:
         )
         assert code == 0
         payload = json.loads(out)
-        assert set(payload["methods"]) == {"proposed", "user-cf"}
+        assert set(payload["reports"]) == {"proposed", "user-cf"}
+        assert "per_user" not in payload["reports"]["proposed"]
         assert "user-cf" in payload["proposed_vs"]
         delta = payload["proposed_vs"]["user-cf"]
         assert "precision_delta" in delta

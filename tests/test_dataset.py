@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longtailrec.dataset import (
     AGE_GROUPS,
@@ -21,6 +23,12 @@ from longtailrec.dataset import (
 )
 
 from conftest import make_random_instance
+from oracles import oracle_partition
+
+
+def head_and_tail(part) -> tuple[set[int], set[int]]:
+    """The short-head and long-tail id sets of a partition."""
+    return set(part.item_ids[~part.long_tail].tolist()), set(part.item_ids[part.long_tail].tolist())
 
 
 def write_files(tmp_path, users_lines, movies_lines, ratings_lines):
@@ -207,8 +215,7 @@ class TestPopularityPartition:
                 ts += 1
                 ratings.append(Rating(user_id=u, item_id=item, value=3, timestamp=ts))
         part = popularity_partition(ratings, item_ids, head_item_fraction=0.2)
-        assert part.short_head == frozenset({1, 2})
-        assert part.long_tail == frozenset(range(3, 11))
+        assert head_and_tail(part) == ({1, 2}, set(range(3, 11)))
         assert part.popularity(1) == 100
 
     def test_unrated_item_is_long_tail_with_zero_popularity(self):
@@ -218,13 +225,27 @@ class TestPopularityPartition:
         assert part.is_long_tail(5)
         assert not part.is_long_tail(1)
 
+    def test_array_lookups_and_unknown_ids(self):
+        ratings = [Rating(user_id=u, item_id=4, value=3, timestamp=0) for u in (1, 2)]
+        part = popularity_partition(ratings, [9, 4, 2], head_item_fraction=0.3)
+        assert part.item_ids.tolist() == [2, 4, 9]
+        assert isinstance(part.popularity(4), int) and isinstance(part.is_long_tail(4), bool)
+        assert part.popularity(np.array([9, 4, 4])).tolist() == [0, 2, 2]
+        assert part.is_long_tail([4, 2]).tolist() == [False, True]
+        assert part.popularity([]).size == 0
+        for bad in (7, [2, 10], [0]):
+            with pytest.raises(KeyError, match=f"unknown item {np.ravel(bad)[-1]}"):
+                part.popularity(bad)
+            with pytest.raises(KeyError, match=f"unknown item {np.ravel(bad)[-1]}"):
+                part.is_long_tail(bad)
+
     def test_count_ties_break_by_item_id(self):
         ratings = [
             Rating(user_id=1, item_id=3, value=3, timestamp=0),
             Rating(user_id=1, item_id=7, value=3, timestamp=1),
         ]
         part = popularity_partition(ratings, [3, 7, 9], head_item_fraction=0.33)
-        assert part.short_head == frozenset({3})
+        assert head_and_tail(part)[0] == {3}
 
     def test_errors(self):
         ratings = [Rating(user_id=1, item_id=1, value=3, timestamp=0)]
@@ -252,15 +273,48 @@ class TestPopularityPartition:
             ]
             fraction = float(rng.uniform(0.05, 0.95))
             part = popularity_partition(ratings, item_ids, head_item_fraction=fraction)
-            assert len(part.short_head) == math.ceil(fraction * n_items)
-            assert part.short_head | part.long_tail == set(item_ids)
-            assert not (part.short_head & part.long_tail)
-            if part.long_tail:
-                min_head = min(part.popularity(i) for i in part.short_head)
-                max_tail = max(part.popularity(i) for i in part.long_tail)
+            short_head, long_tail = head_and_tail(part)
+            assert len(short_head) == math.ceil(fraction * n_items)
+            assert short_head | long_tail == set(item_ids)
+            assert not (short_head & long_tail)
+            if long_tail:
+                min_head = min(part.popularity(i) for i in short_head)
+                max_tail = max(part.popularity(i) for i in long_tail)
                 assert min_head >= max_tail
             n_cases += 1
         assert n_cases == 5000
+
+
+@st.composite
+def partition_cases(draw):
+    """A catalog, ratings over it plus ids outside it, and a head fraction.
+
+    Counts come from a small range, so count ties are common, and some
+    catalog items get no ratings."""
+    catalog = draw(st.lists(st.integers(1, 60), min_size=1, max_size=20, unique=True))
+    outside = draw(st.lists(st.integers(61, 80), max_size=3))
+    counts = draw(st.lists(st.integers(0, 4), min_size=len(catalog), max_size=len(catalog)))
+    rated = [i for i, c in zip(catalog, counts) for _ in range(c)] + outside
+    if not rated:
+        rated = [catalog[0]]
+    order = draw(st.permutations(range(len(rated))))
+    ratings = [Rating(user_id=u + 1, item_id=rated[p], value=3, timestamp=0) for u, p in enumerate(order)]
+    fraction = draw(st.floats(0.01, 0.99))
+    return catalog, ratings, fraction
+
+
+class TestPartitionMatchesOracle:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(partition_cases())
+    def test_array_partition_equals_oracle(self, case):
+        catalog, ratings, fraction = case
+        part = popularity_partition(ratings, catalog, head_item_fraction=fraction)
+        counts, short_head, long_tail = oracle_partition(ratings, catalog, fraction)
+        assert part.item_ids.tolist() == sorted(catalog)
+        assert dict(zip(part.item_ids.tolist(), part.counts.tolist())) == counts
+        assert head_and_tail(part) == (short_head, long_tail)
+        assert part.popularity(catalog).tolist() == [counts[i] for i in catalog]
+        assert part.is_long_tail(catalog).tolist() == [i in long_tail for i in catalog]
 
 
 def test_warm_users_require_min_train_ratings():

@@ -13,8 +13,15 @@ from __future__ import annotations
 import hashlib
 from dataclasses import replace
 
-from longtailrec.harness import METHODS, ExperimentConfig, multi_round_serve, run_experiment
-from longtailrec.memetic import MemeticConfig
+from longtailrec.harness import (
+    METHODS,
+    ExperimentConfig,
+    _recommend_all,
+    multi_round_serve,
+    prepare_experiment,
+    run_experiment,
+)
+from longtailrec.memetic import MemeticConfig, ServingHistory
 from longtailrec.synth import SynthConfig
 
 GOLDEN_CONFIG = ExperimentConfig(
@@ -71,3 +78,46 @@ def test_golden_snapshot_is_unchanged():
     assert len(outcome.recommendations["proposed"]) == 60
     assert metrics == GOLDEN_METRICS
     assert _lists_digest(named) == GOLDEN_LISTS_SHA256
+
+
+def _result_line(method: str, result) -> str:
+    items = ",".join(str(i) for i in result.best.items)
+    return (
+        f"{method}|{result.user_id}|{result.pool_size}|{result.n_injected}|"
+        f"{result.age_group}|{result.target_long_tail}|{result.fitness.hex()}|{items}\n"
+    )
+
+
+def optimizer_digest() -> str:
+    """SHA-256 over every proposed and plain-genetic ``OptimizationResult`` of
+    the golden config's users, plus two `catalog`-scope serving rounds that
+    carry serving history between them.
+
+    Pool sizes, injection counts and bit-exact fitness are hashed with the
+    lists, because the GA can reach the same list from a different pool."""
+    h = hashlib.sha256()
+    prepared = prepare_experiment(GOLDEN_CONFIG)
+    for method in ("proposed", "plain-genetic"):
+        _, results = _recommend_all(prepared, GOLDEN_CONFIG, method, ServingHistory())
+        for user_id in sorted(results):
+            h.update(_result_line(method, results[user_id]).encode())
+
+    serve_config = replace(GOLDEN_CONFIG, candidate_universe="catalog", injection_scope="catalog")
+    prepared = prepare_experiment(serve_config)
+    history = ServingHistory()
+    for round_index in range(2):
+        recommended, results = _recommend_all(
+            prepared, serve_config, "proposed", history, round_index=round_index
+        )
+        for user_id in sorted(results):
+            h.update(_result_line(f"serve-{round_index}", results[user_id]).encode())
+        for user_id in prepared.eligible_users:
+            history.record_served(recommended[user_id])
+    return h.hexdigest()
+
+
+OPTIMIZER_DIGEST = "748039be5383ce949777507b75527ad2f4feccdfd0b090348625f767484b7192"
+
+
+def test_optimizer_digest_is_unchanged():
+    assert optimizer_digest() == OPTIMIZER_DIGEST

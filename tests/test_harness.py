@@ -9,10 +9,13 @@ import json
 import numpy as np
 import pytest
 
+from longtailrec import harness
+from longtailrec.cf import ColdUserError
 from longtailrec.harness import (
     METHODS,
     ExperimentConfig,
     _rank_candidates,
+    _recommend_all,
     config_to_dict,
     emit_figure_data,
     engine_version,
@@ -20,9 +23,8 @@ from longtailrec.harness import (
     prepare_experiment,
     run_experiment,
 )
-from longtailrec.cf import RatingMatrix
-from longtailrec.dataset import Rating, warm_user_ids
-from longtailrec.memetic import InjectionParams, MemeticConfig
+from longtailrec.dataset import Rating, popularity_partition, warm_user_ids
+from longtailrec.memetic import InjectionParams, MemeticConfig, ServingHistory
 from longtailrec.objectives import ObjectiveWeights
 from longtailrec.synth import SynthConfig
 
@@ -151,7 +153,7 @@ class TestPreparation:
             Rating(user_id=2, item_id=2, value=4, timestamp=2),
             Rating(user_id=2, item_id=3, value=4, timestamp=3),
         ]
-        train = RatingMatrix(ratings, item_ids=[1, 2, 3, 4])
+        partition = popularity_partition(ratings, [1, 2, 3, 4])
 
         class Stub:
             def predict_many(self, user_id, cand):
@@ -160,7 +162,7 @@ class TestPreparation:
 
         # item 2 wins on prediction; 1 and 3 tie on prediction (pops 2 vs 1);
         # 3 and 4 tie on prediction and popularity -> smaller id first
-        got = _rank_candidates(Stub(), train, 1, [4, 3, 2, 1], 4)
+        got = _rank_candidates(Stub(), partition, 1, [4, 3, 2, 1], 4)
         assert got == (2, 1, 3, 4)
 
 
@@ -252,6 +254,28 @@ class TestDeterminismAndWorkers:
         par = run_experiment(ExperimentConfig(**{**base.__dict__, "n_workers": 2}))
         assert seq.recommendations == par.recommendations
         assert seq.reports["proposed"].precision == par.reports["proposed"].precision
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("error", [RuntimeError, ColdUserError])
+    def test_user_failure_names_user_seed_and_round(self, monkeypatch, n_workers, error):
+        config = toy_config(methods=("proposed",), subsample_users=6, n_workers=n_workers)
+        prepared = prepare_experiment(config)
+        failing = prepared.eligible_users[3]
+        real = harness.optimize_user
+
+        def fail_for_one_user(user_id, **kwargs):
+            if user_id == failing:
+                raise error(user_id)
+            return real(user_id, **kwargs)
+
+        # Worker processes are forked, so they see the patched name too.
+        monkeypatch.setattr(harness, "optimize_user", fail_for_one_user)
+        with pytest.raises(error) as info:
+            _recommend_all(prepared, config, "proposed", ServingHistory(), round_index=3)
+        assert str(info.value).startswith(f"user {failing} (seed 11, round 3): ")
+        assert str(failing) in str(info.value).split(": ", 1)[1]
+        if error is ColdUserError:
+            assert info.value.user_id == failing
 
     def test_failure_removes_partial_outputs(self, tmp_path):
         out = tmp_path / "partial"

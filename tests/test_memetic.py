@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longtailrec.cf import ColdUserError, UserBasedCF
 from longtailrec.dataset import GENRES
@@ -32,7 +34,7 @@ from longtailrec.memetic import (
 from longtailrec.objectives import ObjectiveContext, ObjectiveWeights
 from longtailrec.profiles import build_age_genre_profiles, build_dynamics_curves
 
-from conftest import make_random_instance
+from conftest import long_tail_ids, make_random_instance, partition_counts, pool_context
 from oracles import oracle_objective_values
 
 
@@ -47,10 +49,10 @@ class TestServingHistory:
         assert h.times_served(9) == 1
         assert h.as_dict() == {7: 2, 9: 1}
 
-    def test_reset_clears(self):
-        h = ServingHistory({3: 4})
-        h.reset()
-        assert h.as_dict() == {}
+    def test_array_reads_match_scalar_reads(self):
+        h = ServingHistory({3: 4, 8: 1})
+        assert h.times_served(np.array([8, 5, 3, 3])).tolist() == [1, 0, 4, 4]
+        assert h.times_served(np.array([], dtype=np.int64)).size == 0
 
     def test_negative_count_rejected_and_zero_dropped(self):
         with pytest.raises(ValueError, match="negative"):
@@ -85,6 +87,17 @@ class TestInjectionProbability:
         with pytest.raises(ValueError, match="mean rating"):
             injection_probability(1, -0.1, ServingHistory())
 
+    def test_array_call_equals_scalar_calls_bit_for_bit(self):
+        history = ServingHistory({i: i * 37 % 400 for i in range(1, 300)})
+        ids = np.arange(1, 400)
+        means = np.random.default_rng(5).uniform(0.0, 5.0, size=ids.size)
+        for a in (0.1, 0.37, 1.0):
+            got = injection_probability(ids, means, history, a)
+            want = [injection_probability(int(i), float(m), history, a) for i, m in zip(ids, means)]
+            assert [p.hex() for p in got.tolist()] == [p.hex() for p in want]
+        with pytest.raises(ValueError, match="mean rating"):
+            injection_probability(ids[:2], [1.0, float("nan")], history)
+
     def test_strictly_monotone_in_serving_count_and_rating(self):
         rng = np.random.default_rng(13)
         n_cases = 0
@@ -103,24 +116,81 @@ class TestInjectionProbability:
         assert n_cases == 10_000
 
 
+def bag_arrays(bag: dict[int, float]) -> tuple[list[int], list[float]]:
+    """A bag as the aligned (item ids, same-age means) that inject_items takes."""
+    return list(bag), list(bag.values())
+
+
+class CountingRng:
+    """A generator that counts the uniform item draws made through it."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def integers(self, *args, **kwargs):
+        self.draws += 1
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        return self._rng.random(*args, **kwargs)
+
+
+@st.composite
+def injection_cases(draw):
+    ids = draw(st.lists(st.integers(1, 200), min_size=1, max_size=30, unique=True))
+    means = draw(st.lists(
+        st.sampled_from([0.0, 0.5, 2.5, 5.0]) | st.floats(0.0, 5.0),
+        min_size=len(ids), max_size=len(ids),
+    ))
+    served = draw(st.dictionaries(st.sampled_from(ids), st.integers(1, 60), max_size=len(ids)))
+    params = InjectionParams(
+        a=draw(st.floats(0.01, 2.0)),
+        pool_size=draw(st.integers(1, 40)),
+        attempt_budget_factor=draw(st.integers(1, 5)),
+    )
+    return ids, means, ServingHistory(served), params, draw(st.integers(0, 2**32 - 1))
+
+
+class TestInjectItemsProperties:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(injection_cases())
+    def test_distinct_bag_ids_within_the_draw_budget(self, case):
+        ids, means, history, params, seed = case
+        rng = CountingRng(seed)
+        got = inject_items(ids, means, params, history, rng)
+        assert len(got) == len(set(got)) <= params.pool_size
+        assert set(got) <= set(ids)
+        assert rng.draws <= params.attempt_budget_factor * params.pool_size
+        assert all(isinstance(i, int) for i in got)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(injection_cases())
+    def test_all_zero_means_inject_nothing(self, case):
+        ids, _, history, params, seed = case
+        rng = CountingRng(seed)
+        assert inject_items(ids, [0.0] * len(ids), params, history, rng) == []
+        assert rng.draws == params.attempt_budget_factor * params.pool_size
+
+
 class TestInjectItems:
     def test_certain_bag_fills_target(self, rng):
         bag = {i: 5.0 for i in range(1, 21)}
-        got = inject_items(bag, InjectionParams(pool_size=10), ServingHistory(), rng)
+        got = inject_items(*bag_arrays(bag), InjectionParams(pool_size=10), ServingHistory(), rng)
         assert len(got) == 10
         assert len(set(got)) == 10
         assert set(got) <= set(bag)
 
     def test_zero_probability_bag_terminates_empty(self, rng):
         bag = {i: 0.0 for i in range(1, 6)}
-        got = inject_items(bag, InjectionParams(pool_size=3), ServingHistory(), rng)
+        got = inject_items(*bag_arrays(bag), InjectionParams(pool_size=3), ServingHistory(), rng)
         assert got == []
 
     def test_only_certain_item_is_ever_chosen(self):
         bag = {1: 5.0, 2: 0.0}
         for seed in range(200):
             got = inject_items(
-                bag,
+                *bag_arrays(bag),
                 InjectionParams(pool_size=5),
                 ServingHistory(),
                 np.random.default_rng(seed),
@@ -130,14 +200,28 @@ class TestInjectItems:
 
     def test_bag_smaller_than_target_returns_whole_bag(self, rng):
         bag = {i: 5.0 for i in (3, 8, 11)}
-        got = inject_items(bag, InjectionParams(pool_size=10), ServingHistory(), rng)
+        got = inject_items(*bag_arrays(bag), InjectionParams(pool_size=10), ServingHistory(), rng)
         assert sorted(got) == [3, 8, 11]
 
     def test_input_validation(self, rng):
         with pytest.raises(ValueError, match="empty"):
-            inject_items({}, InjectionParams(), ServingHistory(), rng)
+            inject_items([], [], InjectionParams(), ServingHistory(), rng)
         with pytest.raises(ValueError, match="target_count"):
-            inject_items({1: 5.0}, InjectionParams(), ServingHistory(), rng, target_count=0)
+            inject_items([1], [5.0], InjectionParams(), ServingHistory(), rng, target_count=0)
+        with pytest.raises(ValueError, match="same-age means"):
+            inject_items([1, 2], [5.0], InjectionParams(), ServingHistory(), rng)
+        with pytest.raises(ValueError, match="repeats"):
+            inject_items([4, 2, 4], [5.0, 1.0, 2.0], InjectionParams(), ServingHistory(), rng)
+
+    def test_bag_order_does_not_change_the_draws(self):
+        ids = np.array([40, 3, 17, 8, 25, 11])
+        means = np.array([4.0, 1.5, 3.0, 5.0, 0.5, 2.0])
+        perm = np.random.default_rng(3).permutation(ids.size)
+        for seed in range(50):
+            a = inject_items(ids, means, InjectionParams(pool_size=4), ServingHistory(), np.random.default_rng(seed))
+            b = inject_items(ids[perm], means[perm], InjectionParams(pool_size=4), ServingHistory(),
+                             np.random.default_rng(seed))
+            assert a == b
 
     def test_results_distinct_and_from_bag(self):
         master = np.random.default_rng(14)
@@ -146,7 +230,7 @@ class TestInjectItems:
             ids = master.choice(np.arange(1, 60), size=int(master.integers(1, 20)), replace=False)
             bag = {int(i): float(master.uniform(0, 5)) for i in ids}
             target = int(master.integers(1, 12))
-            got = inject_items(bag, InjectionParams(pool_size=target), ServingHistory(), rng)
+            got = inject_items(*bag_arrays(bag), InjectionParams(pool_size=target), ServingHistory(), rng)
             assert len(got) == len(set(got))
             assert set(got) <= set(bag)
             assert len(got) <= target
@@ -156,7 +240,7 @@ class TestInjectItems:
         params = InjectionParams(a=0.1, pool_size=1, attempt_budget_factor=1)
         accepted = sum(
             bool(
-                inject_items({1: 2.5}, params, ServingHistory(), np.random.default_rng(s), 1)
+                inject_items([1], [2.5], params, ServingHistory(), np.random.default_rng(s), 1)
             )
             for s in range(2000)
         )
@@ -167,7 +251,7 @@ class TestInjectItems:
         params = InjectionParams(a=0.1, pool_size=1, attempt_budget_factor=1)
         history = ServingHistory({1: 10})
         accepted = sum(
-            bool(inject_items({1: 5.0}, params, history, np.random.default_rng(s), 1))
+            bool(inject_items([1], [5.0], params, history, np.random.default_rng(s), 1))
             for s in range(2000)
         )
         p = math.exp(-1.0)
@@ -195,7 +279,8 @@ class TestInitializePopulation:
         args = ([3, 1, 8], [9, 2, 5, 7], 3, 40)
         a = initialize_population(*args, rng=np.random.default_rng(99))
         b = initialize_population(*args, rng=np.random.default_rng(99))
-        assert a == b
+        assert a.dtype == np.int64 and a.shape == (40, 3)
+        assert np.array_equal(a, b)
 
     def test_individuals_valid_in_bulk(self):
         master = np.random.default_rng(15)
@@ -289,8 +374,7 @@ class TestMutate:
 def small_context(inst, rng, k=3):
     ids = sorted(inst.items)
     preds = {i: float(rng.uniform(1, 5)) for i in ids}
-    return ObjectiveContext(
-        user_id=1,
+    return pool_context(
         pool_items=ids,
         k=k,
         partition=inst.partition,
@@ -377,8 +461,7 @@ class TestLocalSearch:
             ids = sorted(inst.items)
             # One-decimal predictions make lists whose exact sums tie but
             # whose float sums depend on the order they are added in.
-            ctx = ObjectiveContext(
-                user_id=1,
+            ctx = pool_context(
                 pool_items=ids,
                 k=k,
                 partition=inst.partition,
@@ -491,9 +574,9 @@ class TestOptimizeUser:
             genres = {i: sorted(it.genres) for i, it in inst.items.items()}
             expected = oracle_objective_values(
                 list(result.best.items),
-                dict(inst.partition.counts),
+                partition_counts(inst.partition),
                 pred_map,
-                set(inst.partition.long_tail),
+                long_tail_ids(inst.partition),
                 result.target_long_tail,
                 pgu.tolist(),
                 genres,
@@ -635,7 +718,7 @@ class TestOptimizeUser:
             if user is None:
                 continue
             unrated = set(inst.items) - inst.rated_items_of(user)
-            n_lt = sum(1 for i in unrated if inst.partition.is_long_tail(i))
+            n_lt = int(inst.partition.is_long_tail(sorted(unrated)).sum())
             try:
                 result_cat = optimize_user(
                     user,

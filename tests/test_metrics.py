@@ -21,7 +21,7 @@ from longtailrec.metrics import (
 )
 from longtailrec.metrics import test_ratings_by_user as index_test_ratings
 
-from conftest import make_random_instance
+from conftest import make_random_instance, partition_from_counts
 from oracles import oracle_aggregate_diversity, oracle_novelty, oracle_precision
 
 
@@ -29,13 +29,7 @@ def make_partition(counts: dict[int, int]) -> PopularityPartition:
     ids = sorted(counts)
     n_head = max(1, len(ids) // 5)
     by_count = sorted(ids, key=lambda i: (-counts[i], i))
-    head = frozenset(by_count[:n_head])
-    return PopularityPartition(
-        counts=counts,
-        short_head=head,
-        long_tail=frozenset(ids) - head,
-        head_item_fraction=0.2,
-    )
+    return partition_from_counts(counts, head=by_count[:n_head])
 
 
 class TestTestRatingsByUser:

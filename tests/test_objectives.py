@@ -11,25 +11,21 @@ import itertools
 import numpy as np
 import pytest
 
-from longtailrec.dataset import GENRES, Item, PopularityPartition
+from longtailrec.dataset import GENRES, Item
 from longtailrec.objectives import (
     CandidateList,
     ObjectiveContext,
     ObjectiveWeights,
 )
 
-from conftest import make_random_instance
+from conftest import (
+    long_tail_ids,
+    make_random_instance,
+    partition_counts,
+    partition_from_counts,
+    pool_context,
+)
 from oracles import oracle_objective_values
-
-
-def partition_from_counts(counts: dict[int, int], head: set[int]) -> PopularityPartition:
-    ids = set(counts)
-    return PopularityPartition(
-        counts=counts,
-        short_head=frozenset(head),
-        long_tail=frozenset(ids - head),
-        head_item_fraction=max(0.01, min(0.99, len(head) / max(len(ids), 1))),
-    )
 
 
 def one_genre_items(ids, genre="Drama") -> dict[int, Item]:
@@ -55,8 +51,7 @@ def make_context(
     """A context over `pool`; unset inputs are flat (zero popularity, rating 3,
     one shared genre, uniform profile)."""
     pool = sorted(pool)
-    return ObjectiveContext(
-        user_id=1,
+    return pool_context(
         pool_items=pool,
         k=k,
         partition=partition or partition_from_counts({i: 0 for i in pool}, head=set()),
@@ -321,8 +316,7 @@ class TestObjectiveContext:
         preds = {i: float(rng.uniform(1, 5)) for i in ids}
         pgu = rng.dirichlet(np.ones(len(GENRES)))
         target = int(rng.integers(0, k + 1))
-        ctx = ObjectiveContext(
-            user_id=1,
+        ctx = pool_context(
             pool_items=ids,
             k=k,
             partition=inst.partition,
@@ -349,9 +343,9 @@ class TestObjectiveContext:
                 cand = ctx.candidate(individual)
                 expected = oracle_objective_values(
                     list(cand.items),
-                    dict(inst.partition.counts),
+                    partition_counts(inst.partition),
                     preds,
-                    set(inst.partition.long_tail),
+                    long_tail_ids(inst.partition),
                     target,
                     pgu.tolist(),
                     genres,
@@ -379,7 +373,6 @@ class TestObjectiveContext:
         ids = sorted(inst.items)
         preds = {i: 3.0 for i in ids}
         common = dict(
-            user_id=1,
             k=2,
             partition=inst.partition,
             predictions=preds,
@@ -389,9 +382,15 @@ class TestObjectiveContext:
             weights=ObjectiveWeights(),
         )
         with pytest.raises(ValueError, match="duplicate"):
-            ObjectiveContext(pool_items=[ids[0], ids[0], ids[1]], **common)
+            pool_context(pool_items=[ids[0], ids[0], ids[1]], **common)
         with pytest.raises(ValueError, match="cannot fill"):
-            ObjectiveContext(pool_items=ids[:1], **common)
+            pool_context(pool_items=ids[:1], **common)
+        with pytest.raises(ValueError, match="aligned"):
+            ObjectiveContext(
+                user_id=1, pool_items=ids[:3], k=2, popularity=np.zeros(3), predictions=np.ones(2),
+                long_tail=np.zeros(3, dtype=bool), genres=np.ones((3, len(GENRES))),
+                pgu=common["pgu"], target_lt=1, weights=ObjectiveWeights(),
+            )
 
     def test_candidate_and_vector_round_trip(self, rng):
         inst = make_random_instance(seed=21, max_users=5, max_items=12, min_items=5)

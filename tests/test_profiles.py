@@ -7,7 +7,7 @@ import csv
 import numpy as np
 import pytest
 
-from longtailrec.dataset import AGE_GROUPS, GENRES, Item, PopularityPartition, Rating, User
+from longtailrec.dataset import AGE_GROUPS, GENRES, Item, Rating, User
 from longtailrec.profiles import (
     ActivityBin,
     DynamicsCurve,
@@ -19,7 +19,7 @@ from longtailrec.profiles import (
     write_profiles_csv,
 )
 
-from conftest import make_random_instance
+from conftest import long_tail_ids, make_random_instance, partition_from_counts
 from oracles import oracle_age_profiles, oracle_dynamics_curve
 
 
@@ -86,12 +86,7 @@ class TestAgeGenreProfiles:
 class TestDynamicsCurves:
     def _partition_all_head(self, items):
         ids = sorted(items)
-        return PopularityPartition(
-            counts={i: 1 for i in ids},
-            short_head=frozenset(ids),
-            long_tail=frozenset(),
-            head_item_fraction=0.99,
-        )
+        return partition_from_counts({i: 1 for i in ids}, head=ids, head_item_fraction=0.99)
 
     def test_all_short_head_yields_zero_shares(self):
         users = {1: User(user_id=1, age_group=25)}
@@ -104,10 +99,9 @@ class TestDynamicsCurves:
         users = {1: User(user_id=1, age_group=25)}
         n = 100
         ratings = [Rating(user_id=1, item_id=i, value=3, timestamp=i) for i in range(1, n + 1)]
-        partition = PopularityPartition(
-            counts={i: 1 for i in range(1, n + 1)},
-            short_head=frozenset(i for i in range(1, n + 1) if i % 2 == 0),
-            long_tail=frozenset(i for i in range(1, n + 1) if i % 2 == 1),
+        partition = partition_from_counts(
+            {i: 1 for i in range(1, n + 1)},
+            head=[i for i in range(1, n + 1) if i % 2 == 0],
             head_item_fraction=0.5,
         )
         curves = build_dynamics_curves(ratings, users, partition, n_bins=2)
@@ -153,7 +147,7 @@ class TestDynamicsCurves:
             for age in AGE_GROUPS:
                 members = [u for u, usr in inst.users.items() if usr.age_group == age]
                 expected = oracle_dynamics_curve(
-                    inst.ratings, members, set(inst.partition.long_tail), n_bins=3
+                    inst.ratings, members, long_tail_ids(inst.partition), n_bins=3
                 )
                 curve = curves[age]
                 if not any(r.user_id in set(members) for r in inst.ratings):
