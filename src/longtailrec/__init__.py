@@ -30,6 +30,7 @@ from .dataset import (
     ParseError,
     PopularityPartition,
     Rating,
+    Ratings,
     SplitDataset,
     User,
     parse_movielens,
@@ -104,6 +105,7 @@ __all__ = [
     "PopularityPartition",
     "Rating",
     "RatingMatrix",
+    "Ratings",
     "RoundOutcome",
     "ServingHistory",
     "SplitDataset",

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .cf import ColdUserError
-from .dataset import AGE_GROUPS, GENRE_INDEX, N_GENRES, Item, Rating
+from .cf import ColdUserError, RatingMatrix
+from .dataset import AGE_GROUPS, N_GENRES
+from .profiles import user_genre_counts
 
 
 @dataclass(frozen=True)
@@ -25,26 +26,23 @@ class AgeClassifier:
 
 
 def featurize_users(
-    train: Sequence[Rating],
-    items: Mapping[int, Item],
+    train: RatingMatrix,
+    item_genres: np.ndarray,
     user_ids: Sequence[int],
 ) -> np.ndarray:
-    """Normalized genre-incidence vectors, one row per requested user.
+    """Normalized genre-incidence vectors, one row per requested user: that
+    user's row of ``B · G`` over its sum. ``item_genres`` is the 0/1 genre
+    matrix aligned to ``train.item_ids``.
 
-    Raises ColdUserError if any requested user has no training ratings.
+    Raises ColdUserError for the first requested user with no training ratings.
     """
-    pos = {u: i for i, u in enumerate(user_ids)}
+    rows = [train.user_index.get(u) for u in user_ids]
+    known = [i for i, row in enumerate(rows) if row is not None]
     counts = np.zeros((len(user_ids), N_GENRES))
-    for r in train:
-        row = pos.get(r.user_id)
-        if row is None:
-            continue
-        for g in items[r.item_id].genres:
-            counts[row, GENRE_INDEX[g]] += 1.0
+    counts[known] = user_genre_counts(train, item_genres, [rows[i] for i in known])
     totals = counts.sum(axis=1)
-    for i, u in enumerate(user_ids):
-        if totals[i] == 0:
-            raise ColdUserError(u)
+    if (totals == 0).any():
+        raise ColdUserError(user_ids[int(np.argmax(totals == 0))])
     return counts / totals[:, None]
 
 

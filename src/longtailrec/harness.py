@@ -157,15 +157,17 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
 def prepare_experiment(config: ExperimentConfig) -> PreparedExperiment:
     dataset = load_dataset(config)
     split = temporal_split(dataset, config.split_fraction, config.min_train_ratings)
-    catalog = sorted(dataset.items)
+    catalog = dataset.item_ids
+    # Every rated item is in the catalog, so the matrix columns are the
+    # catalog and dataset.item_genres aligns with them.
     train_matrix = RatingMatrix(split.train, item_ids=catalog)
     partition = popularity_partition(split.train, catalog, config.head_item_fraction)
-    profiles = build_age_genre_profiles(split.train, dataset.users, dataset.items)
+    profiles = build_age_genre_profiles(train_matrix, dataset.users, dataset.item_genres)
     curves = build_dynamics_curves(
         split.train, dataset.users, partition, config.n_activity_bins
     )
     warm = warm_user_ids(split.train, config.min_train_ratings)
-    features = featurize_users(split.train, dataset.items, warm)
+    features = featurize_users(train_matrix, dataset.item_genres, warm)
     labels = [dataset.users[u].age_group for u in warm]
     classifier = train_age_classifier(features, labels)
     age_means = same_age_item_means(train_matrix, dataset.users)
@@ -238,7 +240,7 @@ def _memetic_kwargs(prepared: PreparedExperiment, config: ExperimentConfig, meth
     return dict(
         train=prepared.train_matrix,
         users=prepared.dataset.users,
-        items=prepared.dataset.items,
+        item_genres=prepared.dataset.item_genres,
         partition=prepared.partition,
         model=prepared.user_cf,
         profiles=prepared.profiles,

@@ -18,11 +18,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .age_model import AgeClassifier
+from .age_model import AgeClassifier, featurize_users
 from .cf import RATING_MAX, ColdUserError, RatingMatrix
-from .dataset import MIN_WARM_TRAIN_RATINGS, Item, PopularityPartition, User
+from .dataset import MIN_WARM_TRAIN_RATINGS, PopularityPartition, User
 from .objectives import CandidateList, ObjectiveContext, ObjectiveVector, ObjectiveWeights
-from .profiles import AgeGenreProfile, DynamicsCurve, item_genre_matrix, target_long_tail_count
+from .profiles import AgeGenreProfile, DynamicsCurve, checked_genres, target_long_tail_count
 
 DEFAULT_INJECTION_DECAY = 0.1
 DEFAULT_INJECTION_POOL = 100
@@ -363,7 +363,7 @@ def optimize_user(
     user_id: int,
     train: RatingMatrix,
     users: Mapping[int, User],
-    items: Mapping[int, Item],
+    item_genres: np.ndarray,
     partition: PopularityPartition,
     model,
     profiles: Mapping[int, AgeGenreProfile],
@@ -386,6 +386,7 @@ def optimize_user(
     build the candidate pool (top predictions plus injected items), then run
     the generational loop and return the elite list.
 
+    `item_genres` is the 0/1 genre matrix aligned to `train.item_ids`.
     `injection_scope` selects the bag the injection sampler draws from:
     "long-tail" (default) restricts it to long-tail items, for one-shot
     recommendation; "catalog" opens it to every unrated candidate, so that
@@ -409,6 +410,7 @@ def optimize_user(
         )
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
+    checked_genres(train, item_genres)
     if user_id not in train.user_index:
         raise ColdUserError(user_id)
     rated_idx = train.rated_item_indices(user_id)
@@ -422,11 +424,7 @@ def optimize_user(
     elif age_source == "predicted":
         if classifier is None:
             raise ValueError("age_source='predicted' requires a classifier")
-        genre_counts = item_genre_matrix(items, rated_ids.tolist()).sum(axis=0)
-        total = genre_counts.sum()
-        if total == 0:
-            raise ColdUserError(user_id)
-        age_group = classifier.predict(genre_counts / total)
+        age_group = classifier.predict(featurize_users(train, item_genres, [user_id])[0])
     else:
         raise ValueError(f"unknown age_source {age_source!r}")
     target_lt = target_long_tail_count(curves[age_group], int(rated_idx.size), k)
@@ -466,7 +464,7 @@ def optimize_user(
         popularity=partition.popularity(pool_ids),
         predictions=preds[np.searchsorted(universe, pool_ids)],
         long_tail=partition.is_long_tail(pool_ids),
-        genres=item_genre_matrix(items, pool_ids.tolist()),
+        genres=item_genres[train.item_columns(pool_ids)],
         pgu=profiles[age_group].pgu,
         target_lt=target_lt,
         weights=weights,

@@ -13,14 +13,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import PopularityPartition, Rating
+from .dataset import PopularityPartition, Ratings
 
 
-def test_ratings_by_user(ratings: Sequence[Rating]) -> dict[int, dict[int, int]]:
+def test_ratings_by_user(ratings: Ratings) -> dict[int, dict[int, int]]:
     """Index held-out ratings as user_id -> item_id -> rating value."""
     by_user: dict[int, dict[int, int]] = {}
-    for r in ratings:
-        by_user.setdefault(r.user_id, {})[r.item_id] = r.value
+    for u, i, v in zip(ratings.user.tolist(), ratings.item.tolist(), ratings.value.tolist()):
+        by_user.setdefault(u, {})[i] = v
     return by_user
 
 

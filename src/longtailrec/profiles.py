@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dataset import AGE_GROUPS, GENRE_INDEX, GENRES, N_GENRES, Item, PopularityPartition, Rating, User
+from .cf import RatingMatrix
+from .dataset import AGE_GROUPS, GENRES, N_GENRES, PopularityPartition, Ratings, User
 
 
 @dataclass(frozen=True)
@@ -40,42 +41,49 @@ class DynamicsCurve:
     synthesized: bool = False
 
 
-def item_genre_matrix(items: Mapping[int, Item], item_ids: Sequence[int]) -> np.ndarray:
-    """Genre indicator rows (n_items x 18) in the given item order."""
-    mat = np.zeros((len(item_ids), N_GENRES))
-    for row, item_id in enumerate(item_ids):
-        for g in items[item_id].genres:
-            mat[row, GENRE_INDEX[g]] = 1.0
-    return mat
+def checked_genres(train: RatingMatrix, item_genres: np.ndarray) -> np.ndarray:
+    """``item_genres`` (the 0/1 genre matrix G, one row per catalog item) if
+    its rows align with the matrix's item columns; ValueError otherwise."""
+    if np.shape(item_genres) != (train.item_ids.size, N_GENRES):
+        raise ValueError(
+            f"item genre matrix has shape {np.shape(item_genres)}, "
+            f"expected ({train.item_ids.size}, {N_GENRES}) for the rating matrix's items"
+        )
+    return item_genres
+
+
+def user_genre_counts(
+    train: RatingMatrix, item_genres: np.ndarray, rows: Optional[Sequence[int]] = None
+) -> np.ndarray:
+    """Genre incidences of each user's training ratings, ``B · G``: one row
+    per matrix row (or per row of ``rows``), one column per genre. A rating
+    of a 3-genre movie contributes 3 incidences; the counts are exact."""
+    b = train.B if rows is None else train.B[np.asarray(rows, dtype=np.int64)]
+    return np.asarray(b @ checked_genres(train, item_genres))
 
 
 def build_age_genre_profiles(
-    train: Sequence[Rating],
+    train: RatingMatrix,
     users: Mapping[int, User],
-    items: Mapping[int, Item],
+    item_genres: np.ndarray,
 ) -> dict[int, AgeGenreProfile]:
     """Per age group, the normalized genre-incidence distribution of its ratings.
 
-    A rating of a 3-genre movie contributes 3 incidences. Groups with zero
-    ratings get the uniform vector, flagged as synthesized.
+    The per-user counts ``B · G`` are summed over each group's users. Groups
+    with zero ratings get the uniform vector, flagged as synthesized.
     """
-    if not train:
+    if not train.R.nnz:
         raise ValueError("training ratings required")
-    age_idx = {g: i for i, g in enumerate(AGE_GROUPS)}
-    item_ids = sorted(items)
-    item_pos = {i: p for p, i in enumerate(item_ids)}
-    gmat = item_genre_matrix(items, item_ids)
-
-    rows = np.fromiter((age_idx[users[r.user_id].age_group] for r in train), dtype=np.int64, count=len(train))
-    cols = np.fromiter((item_pos[r.item_id] for r in train), dtype=np.int64, count=len(train))
-    counts = np.zeros((len(AGE_GROUPS), N_GENRES))
-    np.add.at(counts, rows, gmat[cols])
+    rated = np.flatnonzero(train.user_rating_counts > 0)
+    by_user = user_genre_counts(train, item_genres, rated)
+    ages = np.array([users[u].age_group for u in train.user_ids[rated].tolist()])
 
     profiles: dict[int, AgeGenreProfile] = {}
-    for g, age in enumerate(AGE_GROUPS):
-        total = counts[g].sum()
+    for age in AGE_GROUPS:
+        counts = by_user[ages == age].sum(axis=0)
+        total = counts.sum()
         if total > 0:
-            profiles[age] = AgeGenreProfile(age_group=age, pgu=counts[g] / total)
+            profiles[age] = AgeGenreProfile(age_group=age, pgu=counts / total)
         else:
             profiles[age] = AgeGenreProfile(
                 age_group=age, pgu=np.full(N_GENRES, 1.0 / N_GENRES), synthesized=True
@@ -84,7 +92,7 @@ def build_age_genre_profiles(
 
 
 def build_dynamics_curves(
-    train: Sequence[Rating],
+    train: Ratings,
     users: Mapping[int, User],
     partition: PopularityPartition,
     n_bins: int = 10,
@@ -102,10 +110,8 @@ def build_dynamics_curves(
     # Every rating's activity index: its user's ratings ordered by
     # timestamp, then item id.
     n = len(train)
-    user = np.fromiter((r.user_id for r in train), dtype=np.int64, count=n)
-    item = np.fromiter((r.item_id for r in train), dtype=np.int64, count=n)
-    stamp = np.fromiter((r.timestamp for r in train), dtype=np.int64, count=n)
-    order = np.lexsort((item, stamp, user))
+    user, item = train.user, train.item
+    order = np.lexsort((item, train.timestamp, user))
     user_ids, starts, per_user = np.unique(user[order], return_index=True, return_counts=True)
     activity = np.arange(n) - np.repeat(starts, per_user) + 1
     user_ages = np.array([users[u].age_group for u in user_ids.tolist()], dtype=np.int64)

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset import AGE_GROUPS, GENRES, Dataset, Item, Rating, User
+from .dataset import AGE_GROUPS, GENRES, Dataset, Item, Ratings, User
 
 # Genres each age group favors when choosing what to rate (and rates higher).
 AGE_FAVORITE_GENRES: Mapping[int, tuple[str, ...]] = {
@@ -151,7 +151,7 @@ def generate(config: SynthConfig | None = None) -> Dataset:
     age_p = age_p / age_p.sum()
 
     users: dict[int, User] = {}
-    ratings: list[Rating] = []
+    columns: list[tuple[np.ndarray, ...]] = []  # (user, item, value, timestamp) per user
     # Guarantee every age group appears, then sample the rest by weight.
     assigned_ages = list(AGE_GROUPS) * 2
     remaining = config.n_users - len(assigned_ages)
@@ -230,14 +230,10 @@ def generate(config: SynthConfig | None = None) -> Dataset:
         informed = config.selection_gain * (idx / n_u)
         raw = mu + quality[sequence] + config.affinity_gain * aff_z[sequence] + informed + noise
         values = np.clip(np.rint(raw), 1, 5).astype(np.int64)
-        ratings.extend(
-            Rating(user_id=user_id, item_id=item_id, value=value, timestamp=user_id * 1000 + pos)
-            for pos, (item_id, value) in enumerate(
-                zip(item_ids[sequence].tolist(), values.tolist()), start=1
-            )
-        )
+        columns.append((np.full(n_u, user_id), item_ids[sequence], values, user_id * 1000 + idx))
 
-    return Dataset(users=users, items=items, ratings=tuple(ratings))
+    ratings = Ratings(*(np.concatenate(col) for col in zip(*columns)))
+    return Dataset(users=users, items=items, ratings=ratings)
 
 
 def write_movielens(dataset: Dataset, outdir: str | Path) -> dict[str, Path]:
@@ -249,9 +245,10 @@ def write_movielens(dataset: Dataset, outdir: str | Path) -> dict[str, Path]:
         "users": outdir / "users.dat",
         "movies": outdir / "movies.dat",
     }
+    r = dataset.ratings
     with open(paths["ratings"], "w", encoding="latin-1") as fh:
-        for r in dataset.ratings:
-            fh.write(f"{r.user_id}::{r.item_id}::{r.value}::{r.timestamp}\n")
+        for row in zip(r.user.tolist(), r.item.tolist(), r.value.tolist(), r.timestamp.tolist()):
+            fh.write("::".join(map(str, row)) + "\n")
     with open(paths["users"], "w", encoding="latin-1") as fh:
         for user_id in sorted(dataset.users):
             u = dataset.users[user_id]

@@ -21,11 +21,11 @@ from longtailrec.dataset import (
     Item,
     PopularityPartition,
     Rating,
+    Ratings,
     User,
     popularity_partition,
 )
 from longtailrec.objectives import ObjectiveContext, ObjectiveWeights
-from longtailrec.profiles import item_genre_matrix
 
 
 @dataclass
@@ -35,13 +35,18 @@ class TinyInstance:
     seed: int
     users: dict[int, User]
     items: dict[int, Item]
-    ratings: list[Rating]
+    ratings: Ratings
     train: RatingMatrix
     partition: PopularityPartition
 
     @property
     def dataset(self) -> Dataset:
-        return Dataset(users=self.users, items=self.items, ratings=tuple(self.ratings))
+        return Dataset(users=self.users, items=self.items, ratings=self.ratings)
+
+    @property
+    def item_genres(self) -> np.ndarray:
+        """The genre matrix aligned to ``train.item_ids`` (every item id)."""
+        return genre_rows(self.items, self.train.item_ids)
 
     def rated_items_of(self, user_id: int) -> frozenset[int]:
         return frozenset(int(i) for i in self.train.item_ids[self.train.rated_item_indices(user_id)])
@@ -94,6 +99,7 @@ def make_random_instance(
             )
         )
     ratings.sort(key=lambda r: (r.user_id, r.timestamp, r.item_id))
+    ratings = Ratings.from_rows(ratings)
 
     train = RatingMatrix(ratings, user_ids=user_ids, item_ids=item_ids)
     partition = popularity_partition(ratings, item_ids, head_item_fraction=0.2)
@@ -105,6 +111,15 @@ def make_random_instance(
         train=train,
         partition=partition,
     )
+
+
+def genre_rows(items: Mapping[int, Item], item_ids) -> np.ndarray:
+    """0/1 genre rows of the given items, read one by one from their genre sets."""
+    mat = np.zeros((len(item_ids), len(GENRES)))
+    for row, item_id in enumerate(np.asarray(item_ids).tolist()):
+        for g in items[item_id].genres:
+            mat[row, GENRES.index(g)] = 1.0
+    return mat
 
 
 def partition_from_counts(
@@ -149,7 +164,7 @@ def pool_context(
         popularity=partition.popularity(ids),
         predictions=np.array([predictions[i] for i in ids.tolist()], dtype=float),
         long_tail=partition.is_long_tail(ids),
-        genres=item_genre_matrix(items, ids.tolist()),
+        genres=genre_rows(items, ids),
         pgu=pgu,
         target_lt=target_lt,
         weights=weights,

@@ -336,10 +336,10 @@ def test_criterion_2_invariant_suite():
                 user,
                 inst.train,
                 inst.users,
-                inst.items,
+                inst.item_genres,
                 inst.partition,
                 UserBasedCF(inst.train),
-                build_age_genre_profiles(inst.ratings, inst.users, inst.items),
+                build_age_genre_profiles(inst.train, inst.users, inst.item_genres),
                 build_dynamics_curves(inst.ratings, inst.users, inst.partition, n_bins=2),
                 classifier=None,
                 history=ServingHistory(),
@@ -392,7 +392,7 @@ def test_criterion_2_invariant_suite():
         if n_pgu >= 10_000:
             break
         inst = make_random_instance(seed)
-        profiles = build_age_genre_profiles(inst.ratings, inst.users, inst.items)
+        profiles = build_age_genre_profiles(inst.train, inst.users, inst.item_genres)
         for profile in profiles.values():
             assert profile.pgu.shape == (len(GENRES),)
             assert (profile.pgu >= 0.0).all()
@@ -530,11 +530,11 @@ def test_criterion_7_age_classifier_sanity(desk_prepared):
     fit_users = [int(x) for x in users_arr[perm[:n_fit]]]
     held_users = [int(x) for x in users_arr[perm[n_fit:]]]
 
-    feats_fit = featurize_users(prepared.split.train, prepared.dataset.items, fit_users)
+    feats_fit = featurize_users(prepared.train_matrix, prepared.dataset.item_genres, fit_users)
     labels_fit = [prepared.dataset.users[x].age_group for x in fit_users]
     clf = train_age_classifier(feats_fit, labels_fit)
 
-    feats_held = featurize_users(prepared.split.train, prepared.dataset.items, held_users)
+    feats_held = featurize_users(prepared.train_matrix, prepared.dataset.item_genres, held_users)
     labels_held = [prepared.dataset.users[x].age_group for x in held_users]
     hits = [clf.predict(row) == lab for row, lab in zip(feats_held, labels_held)]
     accuracy = float(np.mean(hits))

@@ -10,10 +10,10 @@ from longtailrec.age_model import (
     featurize_users,
     train_age_classifier,
 )
-from longtailrec.cf import ColdUserError
-from longtailrec.dataset import AGE_GROUPS, GENRES, N_GENRES, Item, Rating
+from longtailrec.cf import ColdUserError, RatingMatrix
+from longtailrec.dataset import AGE_GROUPS, GENRES, N_GENRES, Item, Rating, Ratings
 
-from conftest import make_random_instance
+from conftest import genre_rows, make_random_instance
 from oracles import oracle_genre_features, oracle_nearest_centroid
 
 
@@ -23,11 +23,17 @@ def pure_vector(genre: str) -> np.ndarray:
     return v
 
 
+def features_of(rows, items, user_ids) -> np.ndarray:
+    """featurize_users over a matrix of ``rows`` whose columns are ``items``."""
+    train = RatingMatrix(Ratings.from_rows(rows), item_ids=sorted(items))
+    return featurize_users(train, genre_rows(items, train.item_ids), user_ids)
+
+
 class TestFeaturize:
     def test_single_genre_rating_is_unit_mass(self):
         items = {1: Item(item_id=1, title="t", genres=frozenset({"Comedy"}))}
         ratings = [Rating(user_id=1, item_id=1, value=4, timestamp=0)]
-        vec = featurize_users(ratings, items, [1])
+        vec = features_of(ratings, items, [1])
         assert vec.shape == (1, N_GENRES)
         assert np.allclose(vec[0], pure_vector("Comedy"))
 
@@ -40,14 +46,14 @@ class TestFeaturize:
             Rating(user_id=1, item_id=1, value=4, timestamp=0),
             Rating(user_id=1, item_id=2, value=4, timestamp=1),
         ]
-        vec = featurize_users(ratings, items, [1])[0]
+        vec = features_of(ratings, items, [1])[0]
         assert vec[GENRES.index("Action")] == pytest.approx(2 / 3)
         assert vec[GENRES.index("War")] == pytest.approx(1 / 3)
 
     def test_cold_user_raises(self):
         items = {1: Item(item_id=1, title="t", genres=frozenset({"Comedy"}))}
         with pytest.raises(ColdUserError):
-            featurize_users([], items, [1])
+            features_of([], items, [1])
 
     def test_matches_recount_oracle_and_normalization(self):
         n_cases = 0
@@ -55,7 +61,7 @@ class TestFeaturize:
             inst = make_random_instance(seed=seed, max_users=8, max_items=12, max_ratings=40)
             genres = {i: sorted(item.genres) for i, item in inst.items.items()}
             rated_users = sorted({r.user_id for r in inst.ratings})
-            feats = featurize_users(inst.ratings, inst.items, rated_users)
+            feats = featurize_users(inst.train, inst.item_genres, rated_users)
             for row, u in enumerate(rated_users):
                 expected = oracle_genre_features(inst.ratings, genres, list(GENRES), u)
                 assert np.allclose(feats[row], expected, atol=1e-12)

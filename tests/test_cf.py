@@ -18,7 +18,7 @@ from longtailrec.cf import (
     similarity_vector,
     user_mean,
 )
-from longtailrec.dataset import Rating
+from longtailrec.dataset import Rating, Ratings
 from longtailrec.harness import _rank_candidates
 
 from conftest import make_random_instance
@@ -38,7 +38,7 @@ def matrix_from(rows):
         for r in rows
         for u, i, v in [r[:3]]
     ]
-    return ratings, RatingMatrix(ratings)
+    return ratings, RatingMatrix(Ratings.from_rows(ratings))
 
 
 def pair_similarity(m: RatingMatrix, u: int, v: int) -> float:
@@ -66,7 +66,7 @@ class TestUserMean:
 
     def test_cold_user_raises(self):
         _, m = matrix_from([(1, 1, 2)])
-        matrix = RatingMatrix([Rating(1, 1, 2, 0)], user_ids=[1, 9], item_ids=[1])
+        matrix = RatingMatrix(Ratings.from_rows([Rating(1, 1, 2, 0)]), user_ids=[1, 9], item_ids=[1])
         with pytest.raises(ColdUserError):
             user_mean(matrix, 9)
 
@@ -142,7 +142,7 @@ class TestUserSimilarity:
             if any(r.value == 5 for r in inst.ratings):
                 continue  # shift would clip, changing the data
             m_shift = RatingMatrix(
-                shifted,
+                Ratings.from_rows(shifted),
                 user_ids=inst.train.user_ids.tolist(),
                 item_ids=inst.train.item_ids.tolist(),
             )
@@ -178,12 +178,12 @@ class TestUserBasedPrediction:
 
     def test_unrated_by_anyone_falls_back_to_user_mean(self):
         ratings = [Rating(1, 1, 4, 0), Rating(1, 2, 2, 0)]
-        m = RatingMatrix(ratings, item_ids=[1, 2, 9])
+        m = RatingMatrix(Ratings.from_rows(ratings), item_ids=[1, 2, 9])
         assert predict_one(UserBasedCF(m), 1, 9) == pytest.approx(3.0)
 
     def test_cold_user_raises(self):
         ratings = [Rating(1, 1, 4, 0)]
-        m = RatingMatrix(ratings, user_ids=[1, 5])
+        m = RatingMatrix(Ratings.from_rows(ratings), user_ids=[1, 5])
         with pytest.raises(ColdUserError):
             predict_one(UserBasedCF(m), 5, 1)
 
@@ -227,7 +227,7 @@ def dense_matrix(seed: int, n_users: int = 90, n_items: int = 24, density: float
         Rating(3 * int(u) + 2, 2 * int(i) + 1, int(rng.integers(1, 6)), 0)
         for u, i in zip(*np.nonzero(rng.random((n_users, n_items)) < density))
     ]
-    return RatingMatrix(ratings, item_ids=range(1, 2 * n_items + 4))
+    return RatingMatrix(Ratings.from_rows(ratings), item_ids=range(1, 2 * n_items + 4))
 
 
 def prediction_digest() -> str:
@@ -264,7 +264,7 @@ def rating_cases(draw):
             st.tuples(
                 st.integers(0, n_users - 1),
                 st.integers(0, n_items - 1),
-                st.sampled_from([1, 2, 3, 4, 5, 2.5]),
+                st.integers(1, 5),
             ),
             min_size=1,
             max_size=60,
@@ -272,7 +272,7 @@ def rating_cases(draw):
         )
     )
     ratings = [Rating(user_id=10 + 7 * u, item_id=5 + 3 * i, value=v, timestamp=0) for u, i, v in cells]
-    train = RatingMatrix(ratings, item_ids=[5 + 3 * i for i in range(n_items + 1)])
+    train = RatingMatrix(Ratings.from_rows(ratings), item_ids=[5 + 3 * i for i in range(n_items + 1)])
     user = draw(st.sampled_from(sorted({r.user_id for r in ratings})))
     request = draw(st.lists(st.sampled_from(train.item_ids.tolist()), min_size=1, max_size=12))
     return ratings, train, user, request, draw(st.integers(0, 6)), draw(st.integers(0, 3))
@@ -366,7 +366,7 @@ class TestTopN:
                 for r in inst.ratings
             ]
             m_shift = RatingMatrix(
-                shifted,
+                Ratings.from_rows(shifted),
                 user_ids=inst.train.user_ids.tolist(),
                 item_ids=inst.train.item_ids.tolist(),
             )
@@ -482,3 +482,53 @@ class TestRatingMatrix:
         for bad in ([10_000], [int(tiny.train.item_ids[0]), 0], [2.5]):
             with pytest.raises(KeyError, match=f"unknown item {bad[-1]}"):
                 tiny.train.item_columns(bad)
+
+
+class TestDuplicatePairs:
+    def test_duplicate_pair_is_rejected_naming_it(self):
+        # Summed, ratings 5 and 4 would make one 9 and a user mean of 6.
+        rows = [Rating(1, 10, 5, 1), Rating(1, 10, 4, 2), Rating(2, 10, 3, 3)]
+        with pytest.raises(ValueError, match="duplicate rating for user 1, movie 10"):
+            RatingMatrix(Ratings.from_rows(rows))
+        with pytest.raises(ValueError, match="duplicate rating for user 7, movie 3"):
+            Ratings(user=[7, 2, 7], item=[3, 3, 3], value=[1, 2, 3], timestamp=[0, 0, 0])
+        # Id spans too wide to pack a pair into one int64 key.
+        with pytest.raises(ValueError, match=f"duplicate rating for user {-(2**62)}, movie 5"):
+            Ratings(user=[-(2**62), 2**62, -(2**62)], item=[5, 5, 5], value=[1, 2, 3], timestamp=[0, 0, 0])
+
+    def test_first_bad_row_is_named(self):
+        with pytest.raises(ValueError, match="rating value 0 outside"):
+            Ratings(user=[1, 1, 1], item=[1, 2, 1], value=[3, 0, 4], timestamp=[0, 0, 0])
+        with pytest.raises(ValueError, match="duplicate rating for user 1, movie 1"):
+            Ratings(user=[1, 1, 1], item=[1, 1, 2], value=[3, 4, 9], timestamp=[0, 0, 0])
+        with pytest.raises(ValueError, match="non-integer"):
+            Ratings.from_rows([Rating(1, 1, 2.5, 0)])
+        with pytest.raises(ValueError, match="differ in length"):
+            Ratings(user=[1], item=[1, 2], value=[3, 3], timestamp=[0, 0])
+
+
+class TestSimilarityCache:
+    def test_cache_stays_bounded_and_eviction_keeps_predictions(self):
+        rng = np.random.default_rng(3)
+        n_users, n_items = cf.SIM_CACHE_USERS + 20, 12
+        rows = [
+            Rating(u, i, int(rng.integers(1, 6)), 0)
+            for u in range(1, n_users + 1)
+            for i in range(1, n_items + 1)
+            if rng.random() < 0.6
+        ]
+        train = RatingMatrix(Ratings.from_rows(rows))
+        model = UserBasedCF(train, k_neighbors=5)
+        users = [int(u) for u in train.user_ids if train.user_rating_counts[train.uidx(int(u))] > 0]
+        items = train.item_ids
+        first = {}
+        for u in users + users[::-1]:
+            got = model.predict_many(u, items)
+            assert len(model._sim_cache) <= cf.SIM_CACHE_USERS
+            assert next(reversed(model._sim_cache)) == u
+            if u in first:
+                assert np.array_equal(got, first[u])
+            else:
+                first[u] = got
+                assert np.array_equal(got, UserBasedCF(train, k_neighbors=5).predict_many(u, items))
+        assert len(model._sim_cache) == cf.SIM_CACHE_USERS

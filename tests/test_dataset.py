@@ -15,6 +15,7 @@ from longtailrec.dataset import (
     Item,
     ParseError,
     Rating,
+    Ratings,
     User,
     parse_movielens,
     popularity_partition,
@@ -49,7 +50,7 @@ class TestParsing:
     def test_rating_line_field_mapping(self, tmp_path):
         paths = write_files(tmp_path, BASE_USERS, BASE_MOVIES, ["1::1193::5::978300760"])
         ds = parse_movielens(*paths)
-        assert ds.ratings == (Rating(user_id=1, item_id=1193, value=5, timestamp=978300760),)
+        assert list(ds.ratings) == [Rating(user_id=1, item_id=1193, value=5, timestamp=978300760)]
         assert ds.n_users == 2 and ds.n_items == 2
 
     def test_empty_ratings_file_parses(self, tmp_path):
@@ -78,7 +79,7 @@ class TestParsing:
         first = parse_movielens(*args)
         second = parse_movielens(*args)
         assert first == second
-        assert first.ratings == tuple(inst.ratings)
+        assert first.ratings == inst.ratings
         assert first.items == inst.items
         # the writer fills the mandatory gender column with a placeholder
         assert {u: user.age_group for u, user in first.users.items()} == {
@@ -100,6 +101,10 @@ class TestParsing:
             (BASE_USERS, BASE_MOVIES, ["1::9::5::1"], "unknown movie 9"),
             (BASE_USERS, BASE_MOVIES, ["1::1193::6::1"], "outside [1,5]"),
             (BASE_USERS, BASE_MOVIES, ["1::1193::5::1", "1::1193::4::2"], "duplicate rating"),
+            (["0::F::1::10::z"], BASE_MOVIES, [], "user_id must be positive"),
+            (BASE_USERS, BASE_MOVIES + ["-3::T::Drama"], [], "item_id must be positive"),
+            (BASE_USERS, BASE_MOVIES, ["1::1193::5::1", "1::661:: 4::2"], "bad rating value"),
+            (BASE_USERS, BASE_MOVIES, ["1::1193::5::1", "1::661::1_0::2"], "bad rating value"),
         ],
     )
     def test_malformed_inputs_raise_with_line_number(self, tmp_path, users, movies, ratings, fragment):
@@ -107,7 +112,15 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_movielens(*paths)
         assert fragment in str(err.value)
-        assert err.value.line_number >= 1
+        # Each case breaks the last line of one file.
+        if users != BASE_USERS:
+            path, lines = paths[1], users
+        elif movies != BASE_MOVIES:
+            path, lines = paths[2], movies
+        else:
+            path, lines = paths[0], ratings
+        assert err.value.path == str(path)
+        assert err.value.line_number == len(lines)
 
 
 class TestDomainValidation:
@@ -135,7 +148,7 @@ class TestTemporalSplit:
         users = {u: User(user_id=u, age_group=25) for u in per_user}
         item_ids = sorted({i for rows in per_user.values() for i, _ in rows})
         items = {i: Item(item_id=i, title=f"t{i}", genres=frozenset({"Drama"})) for i in item_ids}
-        ratings = tuple(
+        ratings = Ratings.from_rows(
             Rating(user_id=u, item_id=i, value=3, timestamp=ts)
             for u, rows in per_user.items()
             for i, ts in rows
@@ -214,20 +227,20 @@ class TestPopularityPartition:
             for u in range(1, 101 - 10 * rank):  # counts 100, 90, ..., 10
                 ts += 1
                 ratings.append(Rating(user_id=u, item_id=item, value=3, timestamp=ts))
-        part = popularity_partition(ratings, item_ids, head_item_fraction=0.2)
+        part = popularity_partition(Ratings.from_rows(ratings), item_ids, head_item_fraction=0.2)
         assert head_and_tail(part) == ({1, 2}, set(range(3, 11)))
         assert part.popularity(1) == 100
 
     def test_unrated_item_is_long_tail_with_zero_popularity(self):
         ratings = [Rating(user_id=1, item_id=1, value=3, timestamp=0)]
-        part = popularity_partition(ratings, [1, 2, 3, 4, 5], head_item_fraction=0.2)
+        part = popularity_partition(Ratings.from_rows(ratings), [1, 2, 3, 4, 5], head_item_fraction=0.2)
         assert part.popularity(5) == 0
         assert part.is_long_tail(5)
         assert not part.is_long_tail(1)
 
     def test_array_lookups_and_unknown_ids(self):
         ratings = [Rating(user_id=u, item_id=4, value=3, timestamp=0) for u in (1, 2)]
-        part = popularity_partition(ratings, [9, 4, 2], head_item_fraction=0.3)
+        part = popularity_partition(Ratings.from_rows(ratings), [9, 4, 2], head_item_fraction=0.3)
         assert part.item_ids.tolist() == [2, 4, 9]
         assert isinstance(part.popularity(4), int) and isinstance(part.is_long_tail(4), bool)
         assert part.popularity(np.array([9, 4, 4])).tolist() == [0, 2, 2]
@@ -244,18 +257,18 @@ class TestPopularityPartition:
             Rating(user_id=1, item_id=3, value=3, timestamp=0),
             Rating(user_id=1, item_id=7, value=3, timestamp=1),
         ]
-        part = popularity_partition(ratings, [3, 7, 9], head_item_fraction=0.33)
+        part = popularity_partition(Ratings.from_rows(ratings), [3, 7, 9], head_item_fraction=0.33)
         assert head_and_tail(part)[0] == {3}
 
     def test_errors(self):
         ratings = [Rating(user_id=1, item_id=1, value=3, timestamp=0)]
         with pytest.raises(ValueError):
-            popularity_partition([], [1])
+            popularity_partition(Ratings.from_rows([]), [1])
         with pytest.raises(ValueError):
-            popularity_partition(ratings, [])
+            popularity_partition(Ratings.from_rows(ratings), [])
         for bad in (0.0, 1.0, 2.0):
             with pytest.raises(ValueError):
-                popularity_partition(ratings, [1], head_item_fraction=bad)
+                popularity_partition(Ratings.from_rows(ratings), [1], head_item_fraction=bad)
 
     def test_partition_invariants_on_random_counts(self):
         n_cases = 0
@@ -272,7 +285,7 @@ class TestPopularityPartition:
                 for u in range(1, int(c) + 1)
             ]
             fraction = float(rng.uniform(0.05, 0.95))
-            part = popularity_partition(ratings, item_ids, head_item_fraction=fraction)
+            part = popularity_partition(Ratings.from_rows(ratings), item_ids, head_item_fraction=fraction)
             short_head, long_tail = head_and_tail(part)
             assert len(short_head) == math.ceil(fraction * n_items)
             assert short_head | long_tail == set(item_ids)
@@ -308,7 +321,7 @@ class TestPartitionMatchesOracle:
     @given(partition_cases())
     def test_array_partition_equals_oracle(self, case):
         catalog, ratings, fraction = case
-        part = popularity_partition(ratings, catalog, head_item_fraction=fraction)
+        part = popularity_partition(Ratings.from_rows(ratings), catalog, head_item_fraction=fraction)
         counts, short_head, long_tail = oracle_partition(ratings, catalog, fraction)
         assert part.item_ids.tolist() == sorted(catalog)
         assert dict(zip(part.item_ids.tolist(), part.counts.tolist())) == counts
@@ -321,5 +334,98 @@ def test_warm_users_require_min_train_ratings():
     ratings = [
         Rating(user_id=1, item_id=i, value=3, timestamp=i) for i in range(1, 6)
     ] + [Rating(user_id=2, item_id=1, value=3, timestamp=9)]
-    assert warm_user_ids(ratings) == [1]
-    assert warm_user_ids(ratings, min_ratings=1) == [1, 2]
+    assert warm_user_ids(Ratings.from_rows(ratings)) == [1]
+    assert warm_user_ids(Ratings.from_rows(ratings), min_ratings=1) == [1, 2]
+
+
+def _valid_files(draw):
+    """Line lists of a small valid users / movies / ratings file set."""
+    n_users = draw(st.integers(2, 5))
+    users = [f"{u}::F::{draw(st.sampled_from(AGE_GROUPS))}::10::48067" for u in range(1, n_users + 1)]
+    movie_ids = list(range(10, 10 + draw(st.integers(2, 6))))
+    movies = [f"{i}::Movie {i} (1999)::Drama|Comedy" for i in movie_ids]
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(1, n_users), st.sampled_from(movie_ids)),
+            unique=True,
+            max_size=12,
+        )
+    )
+    ratings = [f"{u}::{i}::{draw(st.integers(1, 5))}::{draw(st.integers(0, 10**9))}" for u, i in pairs]
+    return {"users": users, "movies": movies, "ratings": ratings}
+
+
+# Tokens that no reading of an integer field accepts.
+BAD_TOKENS = st.sampled_from(["", "x", "1.5", "5a", "--1", "0x1f", " "])
+
+
+@st.composite
+def one_bad_line(draw):
+    """A valid file set with one malformed line inserted into one file, after
+    some blank lines; returns the files, the damaged file's name, the
+    expected 1-based line number and a fragment of the expected message."""
+    files = _valid_files(draw)
+    name = draw(st.sampled_from(["users", "movies", "ratings"]))
+    lines = files[name]
+    pos = draw(st.integers(0, len(lines)))
+    earlier = lines[:pos]
+    kinds = {
+        "users": ["fields", "id", "age", "age-token"] + (["duplicate"] if earlier else []),
+        "movies": ["fields", "id", "genre"] + (["duplicate"] if earlier else []),
+        "ratings": ["fields", "token", "user", "movie", "value"] + (["duplicate"] if earlier else []),
+    }[name]
+    kind = draw(st.sampled_from(kinds))
+    token = draw(BAD_TOKENS)
+    copied = earlier[-1].split("::")[:2] if earlier else ["1", "10"]
+    if name == "users":
+        bad, fragment = {
+            "fields": ("90::F::25::10", "expected 5 fields"),
+            "id": (f"{token}::F::25::10::1", "bad user id"),
+            "age": ("90::F::17::10::1", "age 17"),
+            "age-token": (f"90::F::{token}::10::1", "bad age"),
+            "duplicate": (f"{copied[0]}::M::25::0::0", "duplicate user id"),
+        }[kind]
+    elif name == "movies":
+        bad, fragment = {
+            "fields": ("90::Title", "expected 3 fields"),
+            "id": (f"{token}::Title::Drama", "bad movie id"),
+            "genre": ("90::Title::Jazz", "unknown genre"),
+            "duplicate": (f"{copied[0]}::Again::Drama", "duplicate movie id"),
+        }[kind]
+    else:
+        field = draw(st.integers(0, 3))
+        fields = ["1", "10", "3", "5"]
+        fields[field] = token
+        what = ("user id", "movie id", "rating value", "timestamp")[field]
+        bad, fragment = {
+            "fields": (draw(st.sampled_from(["1::10::3", "1::10::3::5::7", "1"])), "fields"),
+            "token": ("::".join(fields), f"bad {what}"),
+            "user": ("99::10::3::5", "unknown user 99"),
+            "movie": ("1::99::3::5", "unknown movie 99"),
+            "value": (f"1::10::{draw(st.sampled_from([0, 6, -1]))}::5", "outside [1,5]"),
+            "duplicate": (f"{copied[0]}::{copied[1]}::4::7", "duplicate rating"),
+        }[kind]
+    # Blank lines anywhere before the bad line shift its number.
+    blanks = draw(st.lists(st.integers(0, pos), max_size=4))
+    damaged = list(earlier)
+    for at in sorted(blanks, reverse=True):
+        damaged.insert(at, "")
+    line_number = len(damaged) + 1
+    files[name] = damaged + [bad] + lines[pos:]
+    return files, name, line_number, fragment
+
+
+class TestParseErrorLines:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(one_bad_line())
+    def test_one_malformed_line_is_named_exactly(self, tmp_path_factory, case):
+        files, name, line_number, fragment = case
+        tmp = tmp_path_factory.mktemp("files")
+        ratings, users, movies = write_files(tmp, files["users"], files["movies"], files["ratings"])
+        path = {"users": users, "movies": movies, "ratings": ratings}[name]
+        with pytest.raises(ParseError) as err:
+            parse_movielens(ratings, users, movies)
+        assert err.value.path == str(path)
+        assert err.value.line_number == line_number
+        assert fragment in str(err.value)
+        assert str(err.value).startswith(f"{path}:{line_number}: ")

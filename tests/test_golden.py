@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import replace
 
+import numpy as np
+
 from longtailrec.harness import (
     METHODS,
     ExperimentConfig,
@@ -22,7 +24,7 @@ from longtailrec.harness import (
     run_experiment,
 )
 from longtailrec.memetic import MemeticConfig, ServingHistory
-from longtailrec.synth import SynthConfig
+from longtailrec.synth import SynthConfig, generate, write_movielens
 
 GOLDEN_CONFIG = ExperimentConfig(
     synth=SynthConfig(n_users=400, n_items=500, seed=7),
@@ -121,3 +123,69 @@ OPTIMIZER_DIGEST = "748039be5383ce949777507b75527ad2f4feccdfd0b090348625f767484b
 
 def test_optimizer_digest_is_unchanged():
     assert optimizer_digest() == OPTIMIZER_DIGEST
+
+
+def setup_digest(prepared) -> str:
+    """SHA-256 over every output of ``prepare_experiment``: the split rows,
+    the rating matrix, the partition, profiles, curves, classifier centroids,
+    same-age item means, training means, eligible users, universes and the
+    held-out ratings by user. Floats are hashed by their exact bits."""
+    h = hashlib.sha256()
+
+    def put(*fields) -> None:
+        h.update(("|".join(str(f) for f in fields) + "\n").encode())
+
+    def put_array(name, arr, dtype) -> None:
+        put(name, np.asarray(arr).astype(dtype).tobytes().hex())
+
+    for name, rows in (("train", prepared.split.train), ("test", prepared.split.test)):
+        for r in rows:
+            put(name, r.user_id, r.item_id, r.value, r.timestamp)
+    m = prepared.train_matrix
+    put_array("R.indptr", m.R.indptr, "<i8")
+    put_array("R.indices", m.R.indices, "<i8")
+    put_array("R.data", m.R.data, "<f8")
+    put_array("user_ids", m.user_ids, "<i8")
+    put_array("item_ids", m.item_ids, "<i8")
+    p = prepared.partition
+    put_array("partition.ids", p.item_ids, "<i8")
+    put_array("partition.counts", p.counts, "<i8")
+    put_array("partition.long_tail", p.long_tail, "?")
+    for age in sorted(prepared.profiles):
+        prof = prepared.profiles[age]
+        put_array(f"pgu.{age}.{prof.synthesized}", prof.pgu, "<f8")
+    for age in sorted(prepared.curves):
+        curve = prepared.curves[age]
+        for b in curve.bins:
+            put("curve", age, curve.synthesized, b.lo, b.hi, b.share.hex(), b.population)
+    put_array("centroids", prepared.classifier.centroids, "<f8")
+    for age in sorted(prepared.age_item_means):
+        put_array(f"age_means.{age}", prepared.age_item_means[age], "<f8")
+    for u in sorted(prepared.train_means):
+        put("train_mean", u, prepared.train_means[u].hex())
+    put("eligible", *prepared.eligible_users)
+    for u in sorted(prepared.universes):
+        put("universe", u, *prepared.universes[u])
+    for u in sorted(prepared.test_by_user):
+        tests = prepared.test_by_user[u]
+        put("test_by_user", u, *(f"{i}:{tests[i]}" for i in sorted(tests)))
+    return h.hexdigest()
+
+
+SETUP_DIGEST = "1bc2714b22afd8b9ffe95b89340dc0538f499ac0f5786232f7ff34c256912ffd"
+
+
+def test_setup_digest_is_unchanged_in_synthetic_mode():
+    assert setup_digest(prepare_experiment(GOLDEN_CONFIG)) == SETUP_DIGEST
+
+
+def test_setup_digest_is_unchanged_after_a_file_round_trip(tmp_path):
+    paths = write_movielens(generate(GOLDEN_CONFIG.synth), tmp_path)
+    config = replace(
+        GOLDEN_CONFIG,
+        synth=None,
+        ratings_path=str(paths["ratings"]),
+        users_path=str(paths["users"]),
+        movies_path=str(paths["movies"]),
+    )
+    assert setup_digest(prepare_experiment(config)) == SETUP_DIGEST

@@ -23,7 +23,7 @@ from longtailrec.harness import (
     prepare_experiment,
     run_experiment,
 )
-from longtailrec.dataset import Rating, popularity_partition, warm_user_ids
+from longtailrec.dataset import Rating, Ratings, popularity_partition, warm_user_ids
 from longtailrec.memetic import InjectionParams, MemeticConfig, ServingHistory
 from longtailrec.objectives import ObjectiveWeights
 from longtailrec.synth import SynthConfig
@@ -153,7 +153,7 @@ class TestPreparation:
             Rating(user_id=2, item_id=2, value=4, timestamp=2),
             Rating(user_id=2, item_id=3, value=4, timestamp=3),
         ]
-        partition = popularity_partition(ratings, [1, 2, 3, 4])
+        partition = popularity_partition(Ratings.from_rows(ratings), [1, 2, 3, 4])
 
         class Stub:
             def predict_many(self, user_id, cand):

@@ -504,10 +504,10 @@ def optimizer_setup(inst, k=3, **overrides):
     kwargs = dict(
         train=inst.train,
         users=inst.users,
-        items=inst.items,
+        item_genres=inst.item_genres,
         partition=inst.partition,
         model=UserBasedCF(inst.train),
-        profiles=build_age_genre_profiles(inst.ratings, inst.users, inst.items),
+        profiles=build_age_genre_profiles(inst.train, inst.users, inst.item_genres),
         curves=build_dynamics_curves(inst.ratings, inst.users, inst.partition, n_bins=2),
         classifier=None,
         history=ServingHistory(),

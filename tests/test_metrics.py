@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from longtailrec.dataset import PopularityPartition, Rating
+from longtailrec.dataset import PopularityPartition, Rating, Ratings
 from longtailrec.metrics import (
     EvalReport,
     aggregate_diversity,
@@ -39,7 +39,7 @@ class TestTestRatingsByUser:
             Rating(user_id=1, item_id=6, value=2, timestamp=1),
             Rating(user_id=2, item_id=5, value=5, timestamp=2),
         ]
-        assert index_test_ratings(ratings) == {1: {5: 4, 6: 2}, 2: {5: 5}}
+        assert index_test_ratings(Ratings.from_rows(ratings)) == {1: {5: 4, 6: 2}, 2: {5: 5}}
 
 
 class TestPrecision:

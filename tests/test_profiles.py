@@ -7,33 +7,40 @@ import csv
 import numpy as np
 import pytest
 
-from longtailrec.dataset import AGE_GROUPS, GENRES, Item, Rating, User
+from longtailrec.cf import RatingMatrix
+from longtailrec.dataset import AGE_GROUPS, GENRES, Item, Rating, Ratings, User
 from longtailrec.profiles import (
     ActivityBin,
     DynamicsCurve,
     build_age_genre_profiles,
     build_dynamics_curves,
-    item_genre_matrix,
     target_long_tail_count,
+    user_genre_counts,
     write_curves_csv,
     write_profiles_csv,
 )
 
-from conftest import long_tail_ids, make_random_instance, partition_from_counts
+from conftest import genre_rows, long_tail_ids, make_random_instance, partition_from_counts
 from oracles import oracle_age_profiles, oracle_dynamics_curve
 
 
 def single_genre_setup(genre="Comedy"):
     users = {1: User(user_id=1, age_group=25)}
     items = {1: Item(item_id=1, title="t", genres=frozenset({genre}))}
-    ratings = [Rating(user_id=1, item_id=1, value=4, timestamp=0)]
+    ratings = Ratings.from_rows([Rating(user_id=1, item_id=1, value=4, timestamp=0)])
     return users, items, ratings
+
+
+def profiles_of(ratings: Ratings, users, items):
+    """Age-genre profiles of ``ratings`` over the catalog ``items``."""
+    train = RatingMatrix(ratings, item_ids=sorted(items))
+    return build_age_genre_profiles(train, users, genre_rows(items, train.item_ids))
 
 
 class TestAgeGenreProfiles:
     def test_single_genre_group_concentrates_all_mass(self):
         users, items, ratings = single_genre_setup("Comedy")
-        profiles = build_age_genre_profiles(ratings, users, items)
+        profiles = profiles_of(ratings, users, items)
         pgu = profiles[25].pgu
         assert pgu[GENRES.index("Comedy")] == pytest.approx(1.0)
         assert pgu.sum() == pytest.approx(1.0)
@@ -42,15 +49,15 @@ class TestAgeGenreProfiles:
     def test_two_genre_movie_splits_mass_evenly(self):
         users = {1: User(user_id=1, age_group=18)}
         items = {1: Item(item_id=1, title="t", genres=frozenset({"Action", "Sci-Fi"}))}
-        ratings = [Rating(user_id=1, item_id=1, value=4, timestamp=0)]
-        profiles = build_age_genre_profiles(ratings, users, items)
+        ratings = Ratings.from_rows([Rating(user_id=1, item_id=1, value=4, timestamp=0)])
+        profiles = profiles_of(ratings, users, items)
         pgu = profiles[18].pgu
         assert pgu[GENRES.index("Action")] == pytest.approx(0.5)
         assert pgu[GENRES.index("Sci-Fi")] == pytest.approx(0.5)
 
     def test_empty_group_gets_uniform_flagged_vector(self):
         users, items, ratings = single_genre_setup()
-        profiles = build_age_genre_profiles(ratings, users, items)
+        profiles = profiles_of(ratings, users, items)
         for age in AGE_GROUPS:
             if age == 25:
                 continue
@@ -60,14 +67,14 @@ class TestAgeGenreProfiles:
     def test_empty_train_rejected(self):
         users, items, _ = single_genre_setup()
         with pytest.raises(ValueError):
-            build_age_genre_profiles([], users, items)
+            profiles_of(Ratings.from_rows([]), users, items)
 
     def test_normalization_and_recount_parity_property(self):
         n_cases = 0
         item_cache = {}
         for seed in range(700):
             inst = make_random_instance(seed=seed, max_users=8, max_items=12, max_ratings=40)
-            profiles = build_age_genre_profiles(inst.ratings, inst.users, inst.items)
+            profiles = build_age_genre_profiles(inst.train, inst.users, inst.item_genres)
             ages = {u: usr.age_group for u, usr in inst.users.items()}
             genres = {i: sorted(item.genres) for i, item in inst.items.items()}
             expected = oracle_age_profiles(inst.ratings, ages, genres, list(GENRES), AGE_GROUPS)
@@ -91,14 +98,14 @@ class TestDynamicsCurves:
     def test_all_short_head_yields_zero_shares(self):
         users = {1: User(user_id=1, age_group=25)}
         items = {i: Item(item_id=i, title="t", genres=frozenset({"Drama"})) for i in range(1, 21)}
-        ratings = [Rating(user_id=1, item_id=i, value=3, timestamp=i) for i in range(1, 21)]
+        ratings = Ratings.from_rows(Rating(user_id=1, item_id=i, value=3, timestamp=i) for i in range(1, 21))
         curves = build_dynamics_curves(ratings, users, self._partition_all_head(items), n_bins=5)
         assert all(b.share == 0.0 for b in curves[25].bins)
 
     def test_alternating_membership_gives_half_share(self):
         users = {1: User(user_id=1, age_group=25)}
         n = 100
-        ratings = [Rating(user_id=1, item_id=i, value=3, timestamp=i) for i in range(1, n + 1)]
+        ratings = Ratings.from_rows(Rating(user_id=1, item_id=i, value=3, timestamp=i) for i in range(1, n + 1))
         partition = partition_from_counts(
             {i: 1 for i in range(1, n + 1)},
             head=[i for i in range(1, n + 1) if i % 2 == 0],
@@ -210,7 +217,7 @@ class TestTargetLongTailCount:
 
 class TestSerialization:
     def test_profiles_csv_round_trip(self, tmp_path, tiny):
-        profiles = build_age_genre_profiles(tiny.ratings, tiny.users, tiny.items)
+        profiles = build_age_genre_profiles(tiny.train, tiny.users, tiny.item_genres)
         path = tmp_path / "profiles.csv"
         write_profiles_csv(profiles, path)
         with open(path, newline="") as fh:
@@ -241,9 +248,25 @@ class TestSerialization:
 
 
 def test_item_genre_matrix_rows_follow_item_order(tiny):
+    ds = tiny.dataset
     ids = sorted(tiny.items)
-    mat = item_genre_matrix(tiny.items, ids)
+    assert ds.item_ids.tolist() == ids
+    mat = ds.item_genres
     assert mat.shape == (len(ids), len(GENRES))
+    assert not mat.flags.writeable
     for row, item_id in enumerate(ids):
         expected = {GENRES.index(g) for g in tiny.items[item_id].genres}
         assert set(np.flatnonzero(mat[row]).tolist()) == expected
+
+
+def test_user_genre_counts_recount_each_users_ratings():
+    for seed in range(200):
+        inst = make_random_instance(seed=seed, max_users=8, max_items=12, max_ratings=40)
+        counts = user_genre_counts(inst.train, inst.dataset.item_genres)
+        expected = np.zeros_like(counts)
+        for r in inst.ratings:
+            for g in inst.items[r.item_id].genres:
+                expected[inst.train.uidx(r.user_id), GENRES.index(g)] += 1
+        assert np.array_equal(counts, expected)
+    with pytest.raises(ValueError, match="item genre matrix has shape"):
+        user_genre_counts(inst.train, inst.dataset.item_genres[1:])

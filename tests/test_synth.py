@@ -130,16 +130,14 @@ class TestPlantedPhenomena:
 
     def test_popularity_is_head_concentrated(self, medium):
         ids = sorted(medium.items)
-        partition = popularity_partition(list(medium.ratings), ids, 0.2)
+        partition = popularity_partition(medium.ratings, ids, 0.2)
         head_total = int(partition.counts[~partition.long_tail].sum())
         assert head_total > 0.4 * len(medium.ratings)
 
     def test_long_tail_drift_rises_with_age_slope(self, medium):
         ids = sorted(medium.items)
-        partition = popularity_partition(list(medium.ratings), ids, 0.2)
-        curves = build_dynamics_curves(
-            list(medium.ratings), medium.users, partition, n_bins=4
-        )
+        partition = popularity_partition(medium.ratings, ids, 0.2)
+        curves = build_dynamics_curves(medium.ratings, medium.users, partition, n_bins=4)
         # the steepest-slope group must drift visibly upward; the zero-slope
         # group must drift strictly less
         rise = {
