@@ -8,7 +8,6 @@ by contract so downstream predictions stay finite.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from typing import Iterable, Optional, Sequence
 
@@ -80,21 +79,16 @@ class RatingMatrix:
             self.user_means = np.where(user_counts > 0, sums / user_counts, np.nan)
         self.user_rating_counts = user_counts.astype(np.int64)
 
-        # Per-user ratings centered by that user's mean; used by adjusted cosine.
-        self.C = self.R.copy()
-        reps = np.diff(self.C.indptr)
-        self.C.data = self.C.data - np.repeat(np.nan_to_num(self.user_means), reps)
-        self.C_csc = self.C.tocsc()
-        self.C_csc.sort_indices()
+        # Ratings centered by their rater's mean, by item column; used by
+        # adjusted cosine.
+        self.C_csc = self.R_csc.copy()
+        self.C_csc.data -= self.user_means[self.R_csc.indices]
 
     def uidx(self, user_id: int) -> int:
         try:
             return self.user_index[user_id]
         except KeyError:
             raise KeyError(f"unknown user {user_id}") from None
-
-    def iidx(self, item_id: int) -> int:
-        return int(self.item_columns(item_id))
 
     def item_columns(self, item_ids: Sequence[int]) -> np.ndarray:
         """Column of each item id; KeyError names the first id not in the catalog."""
@@ -115,6 +109,21 @@ def user_mean(train: RatingMatrix, user_id: int) -> float:
     if vals.size == 0:
         raise ColdUserError(user_id)
     return float(vals.mean())
+
+
+def _cosine(
+    num: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray, n_ov: np.ndarray, min_overlap: int
+) -> np.ndarray:
+    """``num / sqrt(sq_a * sq_b)`` clipped to [-1, 1], elementwise; 0 where
+    the overlap is thinner than ``min_overlap`` or either square sum is not
+    positive."""
+    ok = (n_ov >= min_overlap) & (sq_a > 0.0) & (sq_b > 0.0)
+    denom = sq_a * sq_b
+    np.sqrt(denom, out=denom, where=ok)
+    sims = np.zeros(ok.shape)
+    np.divide(num, denom, out=sims, where=ok)
+    np.clip(sims, -1.0, 1.0, out=sims)
+    return sims
 
 
 def similarity_vector(
@@ -150,13 +159,7 @@ def similarity_vector(
 
     var_x = n_ov * s_xx - s_x * s_x
     var_y = n_ov * s_yy - s_y * s_y
-    denom = var_x * var_y
-    ok = (n_ov >= min_overlap) & (var_x > 0.0) & (var_y > 0.0)
-    sims = np.zeros(train.R.shape[0])
-    np.sqrt(denom, out=denom, where=ok)
-    num = n_ov * s_xy - s_x * s_y
-    np.divide(num, denom, out=sims, where=ok)
-    np.clip(sims, -1.0, 1.0, out=sims)
+    sims = _cosine(n_ov * s_xy - s_x * s_y, var_x, var_y, n_ov, min_overlap)
     sims[u] = 0.0
     return sims
 
@@ -301,7 +304,11 @@ class UserBasedCF:
 
 
 class ItemBasedCF:
-    """Adjusted-cosine item kNN baseline (ratings centered per user)."""
+    """Adjusted-cosine item kNN baseline (ratings centered per user).
+
+    Keeps no state beyond its settings: each call computes the similarities
+    it needs from sparse co-rating products.
+    """
 
     def __init__(
         self,
@@ -309,60 +316,51 @@ class ItemBasedCF:
         k_neighbors: int = DEFAULT_K_NEIGHBORS,
         min_overlap: int = DEFAULT_MIN_OVERLAP,
     ):
+        if k_neighbors < 0:
+            raise ValueError(f"k_neighbors must be non-negative, got {k_neighbors}")
         self.train = train
         self.k_neighbors = k_neighbors
         self.min_overlap = min_overlap
-        self._sim_cache: dict[tuple[int, int], float] = {}
+
+    def _similarity_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Adjusted cosines of item columns ``rows`` to item columns ``cols``
+        as a dense (rows, cols) array, each summed over the pair's co-raters
+        in ascending user order."""
+        c = self.train.C_csc
+        a, b = c[:, rows], c[:, cols]
+
+        def like(m: sp.csc_matrix, data: np.ndarray) -> sp.csc_matrix:
+            return sp.csc_matrix((data, m.indices, m.indptr), shape=m.shape)
+
+        # 0/1 copies count co-raters, centered ratings of 0 included.
+        a_bin, b_bin = like(a, np.ones_like(a.data)), like(b, np.ones_like(b.data))
+        n_ov = (a_bin.T @ b_bin).toarray()
+        s_aa = (like(a, a.data**2).T @ b_bin).toarray()
+        s_bb = (a_bin.T @ like(b, b.data**2)).toarray()
+        return _cosine((a.T @ b).toarray(), s_aa, s_bb, n_ov, self.min_overlap)
 
     def item_similarity(self, item_a: int, item_b: int) -> float:
         """Adjusted cosine between two items over their co-raters."""
-        ia, ib = self.train.iidx(item_a), self.train.iidx(item_b)
-        if ia > ib:
-            ia, ib = ib, ia
-        key = (ia, ib)
-        cached = self._sim_cache.get(key)
-        if cached is not None:
-            return cached
-        t = self.train
-        ra = t.C_csc.indices[t.C_csc.indptr[ia]:t.C_csc.indptr[ia + 1]]
-        rb = t.C_csc.indices[t.C_csc.indptr[ib]:t.C_csc.indptr[ib + 1]]
-        ca = t.C_csc.data[t.C_csc.indptr[ia]:t.C_csc.indptr[ia + 1]]
-        cb = t.C_csc.data[t.C_csc.indptr[ib]:t.C_csc.indptr[ib + 1]]
-        # Co-raters in ascending user order; each column's indices are sorted.
-        pos_a = np.searchsorted(ra, rb)
-        pos_b = np.flatnonzero(ra[np.minimum(pos_a, ra.size - 1)] == rb) if ra.size else pos_a[:0]
-        pos_a = pos_a[pos_b]
-        sim = 0.0
-        if pos_b.size >= self.min_overlap:
-            xa, xb = ca[pos_a], cb[pos_b]
-            da = float((xa * xa).sum())
-            db = float((xb * xb).sum())
-            if da > 0.0 and db > 0.0:
-                sim = float((xa * xb).sum()) / math.sqrt(da * db)
-                sim = min(1.0, max(-1.0, sim))
-        self._sim_cache[key] = sim
-        return sim
+        cols = self.train.item_columns([item_a, item_b])
+        return float(self._similarity_block(cols[:1], cols[1:])[0, 0])
 
     def predict_many(self, user_id: int, item_ids: Sequence[int]) -> np.ndarray:
-        t = self.train
-        mu_u = user_mean(t, user_id)
-        rated_idx = t.rated_item_indices(user_id)
-        rated_vals = t.rated_values(user_id)
-        rated_ids = t.item_ids[rated_idx]
+        """Predicted ratings (clamped to [1,5]) for the given items.
 
-        out = np.empty(len(item_ids))
-        for pos, target in enumerate(item_ids):
-            sims = np.array([self.item_similarity(int(i), target) for i in rated_ids])
-            positive = sims > 0.0
-            if not positive.any():
-                out[pos] = mu_u
-                continue
-            cand_sims = sims[positive]
-            cand_vals = rated_vals[positive]
-            cand_ids = rated_ids[positive]
-            if cand_sims.size > self.k_neighbors:
-                order = np.lexsort((cand_ids, -cand_sims))[: self.k_neighbors]
-                cand_sims, cand_vals = cand_sims[order], cand_vals[order]
-            out[pos] = (cand_sims * cand_vals).sum() / cand_sims.sum()
+        A target's neighbours are the user's rated items with positive
+        similarity to it, cut to the ``k_neighbors`` most similar (ties to
+        the lower item id). The prediction is the similarity-weighted mean of
+        the user's ratings of them, or the user's mean when there are none.
+        """
+        t = self.train
+        mu_u = user_mean(t, user_id)  # raises ColdUserError for cold users
+        sims = self._similarity_block(t.rated_item_indices(user_id), t.item_columns(item_ids))
+        np.maximum(sims, 0.0, out=sims)
+        top = np.argsort(-sims, axis=0, kind="stable")[: self.k_neighbors]
+        weights = np.take_along_axis(sims, top, axis=0)
+        num = (weights * t.rated_values(user_id)[top]).sum(axis=0)
+        den = weights.sum(axis=0)
+        out = np.full(den.shape, mu_u)
+        np.divide(num, den, out=out, where=den > 0.0)
         np.clip(out, RATING_MIN, RATING_MAX, out=out)
         return out

@@ -104,9 +104,9 @@ def oracle_predict_item_based(ratings, u, j, k_neighbors=40, min_overlap=2):
         s = oracle_adjusted_cosine(ratings, i, j, min_overlap)
         if s > 0.0:
             entries.append((s, i, value))
+    entries = sorted(entries, key=lambda e: (-e[0], e[1]))[:k_neighbors]
     if not entries:
         return min(5.0, max(1.0, mu_u))
-    entries = sorted(entries, key=lambda e: (-e[0], e[1]))[:k_neighbors]
     num = sum(s * v for s, _, v in entries)
     denom = sum(s for s, _, _ in entries)
     pred = num / denom

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -256,7 +257,7 @@ PREDICTION_DIGEST = "83eaa67be2cb0bfae85dd3ec377769b689ad30486fc412e5152df04a69b
 
 
 @st.composite
-def rating_cases(draw):
+def rating_cases(draw, k_neighbors=st.integers(0, 6)):
     n_users = draw(st.integers(2, 12))
     n_items = draw(st.integers(1, 8))
     cells = draw(
@@ -275,7 +276,7 @@ def rating_cases(draw):
     train = RatingMatrix(Ratings.from_rows(ratings), item_ids=[5 + 3 * i for i in range(n_items + 1)])
     user = draw(st.sampled_from(sorted({r.user_id for r in ratings})))
     request = draw(st.lists(st.sampled_from(train.item_ids.tolist()), min_size=1, max_size=12))
-    return ratings, train, user, request, draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    return ratings, train, user, request, draw(k_neighbors), draw(st.integers(0, 3))
 
 
 class TestPredictionExactness:
@@ -406,7 +407,7 @@ class TestItemBased:
         ratings, m = matrix_from(rows)
         assert predict_one(ItemBasedCF(m), 1, 3) == pytest.approx(4.0)  # mu_1
 
-    def test_similarity_symmetry_and_cache(self):
+    def test_similarity_symmetry_and_oracle_parity(self):
         for seed in range(30):
             inst = make_random_instance(seed=seed, max_users=8, max_items=10)
             model = ItemBasedCF(inst.train)
@@ -437,6 +438,58 @@ class TestItemBased:
                     assert pred == pytest.approx(expected, abs=1e-9)
                     n_cases += 1
         assert n_cases >= 1500
+
+    def test_tied_neighbours_go_to_the_lower_item_id(self):
+        # Items 1 and 2 have the same co-raters (2 and 3) with item 3, who
+        # rate them alike: both similarities to item 3 are exactly 1.
+        rows = [
+            (1, 1, 5), (1, 2, 1),
+            (2, 1, 5), (2, 2, 5), (2, 3, 5), (2, 4, 1),
+            (3, 1, 1), (3, 2, 1), (3, 3, 1), (3, 4, 5),
+        ]
+        ratings, m = matrix_from(rows)
+        model = ItemBasedCF(m, k_neighbors=1)
+        assert model.item_similarity(1, 3) == model.item_similarity(2, 3) == 1.0
+        assert predict_one(model, 1, 3) == oracle_predict_item_based(ratings, 1, 3, k_neighbors=1) == 5.0
+        assert predict_one(ItemBasedCF(m, k_neighbors=2), 1, 3) == 3.0
+
+    def test_prediction_leaves_no_state(self):
+        for seed in range(20):
+            inst = make_random_instance(seed=seed)
+            model = ItemBasedCF(inst.train)
+            # repr shows a container that grows in place, and the matrix's identity.
+            before = {name: repr(value) for name, value in vars(model).items()}
+            for u in inst.train.user_ids:
+                if inst.train.user_rating_counts[inst.train.uidx(int(u))] > 0:
+                    model.predict_many(int(u), inst.train.item_ids)
+            assert {name: repr(value) for name, value in vars(model).items()} == before
+
+    def test_k_zero_predicts_user_mean_and_negative_k_rejected(self, tiny):
+        u = tiny.warmest_user()
+        preds = ItemBasedCF(tiny.train, k_neighbors=0).predict_many(u, tiny.train.item_ids)
+        assert (preds == user_mean(tiny.train, u)).all()
+        with pytest.raises(ValueError, match="k_neighbors"):
+            ItemBasedCF(tiny.train, k_neighbors=-1)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(rating_cases(k_neighbors=st.sampled_from([0, 1, 3, 40])))
+    def test_one_call_matches_oracle_property(self, case):
+        ratings, train, user, request, k_neighbors, min_overlap = case
+        model = ItemBasedCF(train, k_neighbors=k_neighbors, min_overlap=min_overlap)
+        # A repeated id, one of the user's rated items and the item nobody rated.
+        rated = int(train.item_ids[train.rated_item_indices(user)[0]])
+        request = request + request[:1] + [rated, int(train.item_ids[-1])]
+        preds = model.predict_many(user, request)
+        for j, pred in zip(request, preds):
+            expected = oracle_predict_item_based(ratings, user, j, k_neighbors, min_overlap)
+            assert abs(pred - expected) <= 1e-9
+        for a, b in itertools.combinations(sorted(set(request)), 2):
+            assert model.item_similarity(a, b).hex() == model.item_similarity(b, a).hex()
+        assert model.predict_many(user, []).shape == (0,)
+        with pytest.raises(KeyError, match="unknown item 4"):
+            model.predict_many(user, request + [4])
+        with pytest.raises(KeyError, match="unknown item 4"):
+            model.item_similarity(request[0], 4)
 
     def test_top_n_matches_user_based_tie_rules(self, tiny):
         u = tiny.warmest_user()
@@ -474,11 +527,12 @@ class TestRatingMatrix:
         with pytest.raises(KeyError):
             tiny.train.uidx(10_000)
         with pytest.raises(KeyError):
-            tiny.train.iidx(10_000)
+            tiny.train.item_columns([10_000])
 
-    def test_item_columns_match_iidx(self, tiny):
-        ids = [int(i) for i in tiny.train.item_ids][::-1] * 2
-        assert tiny.train.item_columns(ids).tolist() == [tiny.train.iidx(i) for i in ids]
+    def test_item_columns_match_catalog_positions(self, tiny):
+        catalog = tiny.train.item_ids.tolist()
+        ids = catalog[::-1] * 2
+        assert tiny.train.item_columns(ids).tolist() == [catalog.index(i) for i in ids]
         for bad in ([10_000], [int(tiny.train.item_ids[0]), 0], [2.5]):
             with pytest.raises(KeyError, match=f"unknown item {bad[-1]}"):
                 tiny.train.item_columns(bad)

@@ -36,12 +36,12 @@ GOLDEN_CONFIG = ExperimentConfig(
     subsample_users=60,
 )
 
-GOLDEN_LISTS_SHA256 = "c2f1c457f20e6780a3de82e3a1a2f57b6c9fc2d8973482ce5ec55cec56b853cc"
+GOLDEN_LISTS_SHA256 = "dfda7f447a00821ca8ae6ede952e142a419d4c6c4d9dad43deddd6214b2aadcb"
 
 GOLDEN_METRICS = {
     "proposed": (0.871666666667, 1.9042903662e-05, 267),
     "user-cf": (0.935, 1.44740841523e-05, 222),
-    "item-cf": (0.923333333333, 1.39832760019e-05, 217),
+    "item-cf": (0.923333333333, 1.39834715366e-05, 216),
     "plain-genetic": (0.908333333333, 1.73834440079e-05, 243),
     "serve-round-1": (0.146666666667, 2.01255836419e-05, 146),
     "serve-round-2": (0.136666666667, 2.13397067924e-05, 171),
