@@ -207,6 +207,24 @@ def inject_items(
     return accepted
 
 
+# Padding for `_free_draw`: minus any row position, still above every index.
+_ABSENT = np.iinfo(np.int64).max
+
+
+def _free_draw(taken: np.ndarray, n_space: int, u: np.ndarray) -> np.ndarray:
+    """Per row, the ⌊u·n_free⌋-th index of [0, n_space) absent from that row
+    of `taken`, counting up from 0; `n_free` is the number of such indices.
+
+    Entries of `taken` must be distinct per row; `_ABSENT` entries are
+    padding. With the row sorted, the r-th free index is
+    ``r + #{i : sorted_row[i] - i <= r}``, so a row costs one sort of its
+    width, whatever `n_space` is."""
+    taken = np.sort(taken, axis=1)
+    n_free = n_space - (taken < n_space).sum(axis=1)
+    r = (u * n_free).astype(np.int64)
+    return r + (taken - np.arange(taken.shape[1]) <= r[:, None]).sum(axis=1)
+
+
 def initialize_population(
     injected: Sequence[int],
     top_predicted: Sequence[int],
@@ -216,32 +234,42 @@ def initialize_population(
 ) -> np.ndarray:
     """Build `population_size` lists of k distinct pool indices, each mixing
     injected and top-predicted items at a ratio drawn uniformly per
-    individual. `top_predicted` is in rank order; returns an int64 (n, k)
-    array."""
+    individual: round(ratio * k) injected items (at most all of them), the
+    rest from the top-predicted items not already in the list, and leftover
+    injected items when those run out. Every pick is uniform over the items
+    it may take. Returns an int64 (n, k) array.
+
+    Fills position j of every row at once, from one of the two item sets:
+    k passes, none of whose work per row grows with the item sets."""
     injected_arr = np.unique(np.asarray(injected, dtype=np.int64))
-    top = np.asarray(top_predicted, dtype=np.int64)
-    top_arr = top[np.sort(np.unique(top, return_index=True)[1])]
-    n_union = np.union1d(injected_arr, top_arr).size
-    if n_union < k:
+    top_arr = np.unique(np.asarray(top_predicted, dtype=np.int64))
+    union = np.union1d(injected_arr, top_arr)
+    if union.size < k:
         raise ValueError(
-            f"only {n_union} distinct candidate items available for lists of length {k}"
+            f"only {union.size} distinct candidate items available for lists of length {k}"
         )
+    # Each item set as its members' positions in `union`, and every union
+    # position's rank within the set (`_ABSENT` if not a member).
+    top_members = np.searchsorted(union, top_arr)
+    inj_members = np.searchsorted(union, injected_arr)
+    top_rank, inj_rank = np.full((2, union.size), _ABSENT)
+    top_rank[top_members] = np.arange(top_members.size)
+    inj_rank[inj_members] = np.arange(inj_members.size)
+    draws = rng.random((population_size, k + 1))
+    n_inj = np.minimum(injected_arr.size, np.rint(draws[:, 0] * k)).astype(np.int64)
     population = np.empty((population_size, k), dtype=np.int64)
-    for row in population:
-        ratio = rng.random()
-        n_inj = min(len(injected_arr), int(round(ratio * k)))
-        if n_inj > 0:
-            row[:n_inj] = rng.choice(injected_arr, size=n_inj, replace=False)
-        remaining_top = top_arr[~np.isin(top_arr, row[:n_inj])]
-        n_rest = k - n_inj
-        if remaining_top.size >= n_rest:
-            row[n_inj:] = rng.choice(remaining_top, size=n_rest, replace=False)
-        else:
-            n_picked = n_inj + remaining_top.size
-            row[n_inj:n_picked] = remaining_top
-            leftover_inj = injected_arr[~np.isin(injected_arr, row[:n_picked])]
-            row[n_picked:] = rng.choice(leftover_inj, size=k - n_picked, replace=False)
-    return population
+    n_top = np.zeros(population_size, dtype=np.int64)
+    for j in range(k):
+        filled = population[:, :j]
+        from_top = (j >= n_inj) & (n_top < top_arr.size)
+        for members, rank, rows in (
+            (top_members, top_rank, np.flatnonzero(from_top)),
+            (inj_members, inj_rank, np.flatnonzero(~from_top)),
+        ):
+            picks = _free_draw(rank[filled[rows]], members.size, draws[rows, j + 1])
+            population[rows, j] = members[picks]
+        n_top += top_rank[population[:, j]] != _ABSENT
+    return union[population]
 
 
 def _local_search_batch(
@@ -255,10 +283,12 @@ def _local_search_batch(
     Each trial draws a position in [0, k) then a pool index in [0, n_pool)
     for every individual; all trials' draws come from one ``integers`` call,
     which yields the same stream as one pair of calls per trial. A swap's
-    popularity sum, long-tail count and genre counts follow from the one item
-    that changes (exact sums of small integers); the accuracy column is
-    summed over the whole row as ``ObjectiveContext.objectives`` sums it, so
-    every fitness is the one a full evaluation gives.
+    popularity sum, long-tail count, genre counts and genre total follow
+    from the one item that changes, as one row of a (pool, 21) attribute
+    block (exact sums of small integers); the accuracy column is summed over
+    the whole row as ``ObjectiveContext.objectives`` sums it, so every
+    fitness is the one a full evaluation gives. A swap that repeats a gene of
+    its row is rejected; only the swaps that would improve are checked.
     """
     if trials <= 0:
         return population
@@ -268,78 +298,89 @@ def _local_search_batch(
     highs[:, 0] = k
     highs[:, 1] = len(ctx.pool_items)
     draws = rng.integers(0, highs)
+    attrs = np.column_stack(
+        [ctx.pop_counts, ctx.is_lt, ctx.genre_mat, ctx.genre_mat.sum(axis=1)]
+    )
+    sums = attrs[pop.T].sum(axis=0)
+    row_preds = ctx.preds[pop]
     fitness = ctx.fitness(pop)
-    pop_sum = ctx.pop_counts[pop].sum(axis=1)
-    lt_count = ctx.is_lt[pop].sum(axis=1)
-    genre_counts = ctx.genre_mat[pop.T].sum(axis=0)
     objs = np.empty((n, 4))
     rows = np.arange(n)
     for positions, replacements in draws:
-        removed = pop[rows, positions]
-        candidate = pop.copy()
-        candidate[rows, positions] = replacements
-        duplicated = (candidate == replacements[:, None]).sum(axis=1) > 1
-        cand_pop_sum = pop_sum - ctx.pop_counts[removed] + ctx.pop_counts[replacements]
-        cand_lt = lt_count - ctx.is_lt[removed] + ctx.is_lt[replacements]
-        cand_genres = genre_counts - ctx.genre_mat[removed] + ctx.genre_mat[replacements]
-        objs[:, 0] = cand_pop_sum
-        objs[:, 1] = 1.0 / ctx.preds[candidate].sum(axis=1)
-        objs[:, 2] = np.abs(cand_lt - ctx.target_lt)
-        objs[:, 3] = ctx.genre_distance(cand_genres)
+        cand = sums - attrs[pop[rows, positions]] + attrs[replacements]
+        cand_preds = row_preds.copy()
+        cand_preds[rows, positions] = ctx.preds[replacements]
+        objs[:, 0] = cand[:, 0]
+        objs[:, 1] = 1.0 / cand_preds.sum(axis=1)
+        objs[:, 2] = np.abs(cand[:, 1] - ctx.target_lt)
+        objs[:, 3] = ctx.genre_distance(cand[:, 2:-1], cand[:, -1])
         cand_fitness = ctx.fitness_from_objectives(objs)
-        accept = ~duplicated & (cand_fitness < fitness)
-        pop[accept] = candidate[accept]
+        better = np.flatnonzero(cand_fitness < fitness)
+        # A swap to the gene already there leaves the fitness unchanged, so
+        # an improving swap repeats a gene exactly when its row holds it.
+        accept = better[~(pop[better] == replacements[better, None]).any(axis=1)]
+        pop[accept, positions[accept]] = replacements[accept]
+        row_preds[accept] = cand_preds[accept]
+        sums[accept] = cand[accept]
         fitness[accept] = cand_fitness[accept]
-        pop_sum[accept] = cand_pop_sum[accept]
-        lt_count[accept] = cand_lt[accept]
-        genre_counts[accept] = cand_genres[accept]
     return pop
 
 
-def _crossover_indices(
-    parent_a: list[int], parent_b: list[int], rng: np.random.Generator
-) -> list[int]:
-    """Uniform position-wise mix of two parents; a gene already in the child
-    is replaced from a shuffled queue of the parents' unused genes."""
-    draws = rng.random(len(parent_a)).tolist()
-    child = [ga if u < 0.5 else gb for ga, gb, u in zip(parent_a, parent_b, draws)]
-    used: set[int] = set()
-    conflicts: list[int] = []
-    for pos, gene in enumerate(child):
-        if gene in used:
-            conflicts.append(pos)
-        else:
-            used.add(gene)
-    if conflicts:
-        leftovers = [g for g in dict.fromkeys(parent_a + parent_b) if g not in used]
-        queue = [leftovers[i] for i in rng.permutation(len(leftovers)).tolist()]
-        for pos in conflicts:
-            child[pos] = queue.pop()
+def _crossover_batch(
+    parent_a: np.ndarray,
+    parent_b: np.ndarray,
+    do_crossover: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Uniform position-wise mix of each row pair of (n, k) parents; rows
+    where `do_crossover` is False copy parent A.
+
+    A gene that repeats an earlier position of its child is replaced by a
+    distinct parent gene not in the child, picked by ranking uniform keys
+    over the row's 2k parent genes. One stable sort of each row's child and
+    parent genes finds both the repeats and the unused parent genes."""
+    n, k = parent_a.shape
+    mix = do_crossover[:, None] & (rng.random((n, k)) >= 0.5)
+    child = np.where(mix, parent_b, parent_a)
+    keys = rng.random((n, 2 * k))
+    genes = np.concatenate([child, parent_a, parent_b], axis=1)
+    order = np.argsort(genes, axis=1, kind="stable")
+    ordered = np.take_along_axis(genes, order, axis=1)
+    # True where a gene equals an entry before it: a child gene beats its
+    # parents' copies, and earlier child positions beat later ones.
+    seen = np.zeros(genes.shape, dtype=bool)
+    np.put_along_axis(seen, order[:, 1:], ordered[:, 1:] == ordered[:, :-1], axis=1)
+    rows, cols = np.nonzero(seen[:, :k])
+    if rows.size:
+        keys[seen[:, k:]] = 2.0  # above every draw: taken genes rank last
+        ranked = np.argsort(keys, axis=1)
+        # The row's j-th repeat takes its j-th ranked parent gene.
+        nth = np.arange(rows.size) - np.searchsorted(rows, rows)
+        child[rows, cols] = genes[rows, k + ranked[rows, nth]]
     return child
 
 
-def _mutate_indices(
-    individual: list[int], n_pool: int, mutation_rate: float, rng: np.random.Generator
-) -> list[int]:
+def _mutate_batch(
+    population: np.ndarray, n_pool: int, mutation_rate: float, rng: np.random.Generator
+) -> np.ndarray:
     """Replace each position with probability `mutation_rate` by a uniform
-    draw from the pool indices not in the list."""
-    draws = rng.random(len(individual)).tolist()
-    hits = [pos for pos, u in enumerate(draws) if u < mutation_rate]
-    if not hits:
-        return individual
-    genes = list(individual)
-    for pos in hits:
-        taken = sorted(set(genes))
-        if len(taken) == n_pool:
-            continue
-        # The r-th pool index not taken, counting up from 0.
-        r = int(rng.integers(n_pool - len(taken)))
-        for g in taken:
-            if g > r:
-                break
-            r += 1
-        genes[pos] = r
-    return genes
+    draw from the pool indices not in its row, hit after hit in position
+    order within each row (so a replaced gene is free for later hits).
+
+    Passes go over hit ranks (every row's first hit, then its second, ...);
+    none of their work per row grows with `n_pool`."""
+    pop = population.copy()
+    n, k = pop.shape
+    hit_u, pick_u = rng.random((2, n, k))
+    if n_pool == k:
+        return pop
+    rows, cols = np.nonzero(hit_u < mutation_rate)
+    nth = np.arange(rows.size) - np.searchsorted(rows, rows)
+    for rank in range(int(nth.max(initial=-1)) + 1):
+        sel = nth == rank
+        r_rows, r_cols = rows[sel], cols[sel]
+        pop[r_rows, r_cols] = _free_draw(pop[r_rows], n_pool, pick_u[r_rows, r_cols])
+    return pop
 
 
 def same_age_item_means(
@@ -481,12 +522,9 @@ def optimize_user(
         )
     else:
         # Ablation seeding: uniform k-subsets of the prediction pool.
-        population = np.stack(
-            [
-                rng.choice(len(pool_ids), size=k, replace=False)
-                for _ in range(config.population_size)
-            ]
-        ).astype(np.int64)
+        population = initialize_population(
+            [], np.arange(pool_ids.size), k, config.population_size, rng
+        )
 
     fitness = ctx.fitness(population)
     trace = [
@@ -507,14 +545,12 @@ def optimize_user(
         )
         winner_slot = np.argmin(fitness[contenders], axis=2)
         parent_idx = np.take_along_axis(contenders, winner_slot[:, :, None], axis=2)[:, :, 0]
-        do_crossover = (rng.random(n_children) < config.crossover_rate).tolist()
-        rows = population.tolist()
-        children = []
-        for c, (ia, ib) in enumerate(parent_idx.tolist()):
-            pa, pb = rows[ia], rows[ib]
-            child = _crossover_indices(pa, pb, rng) if do_crossover[c] and pa != pb else pa
-            children.append(_mutate_indices(child, len(pool_ids), config.mutation_rate, rng))
-        children = _local_search_batch(np.array(children, dtype=np.int64), ctx, ls_trials, rng)
+        do_crossover = rng.random(n_children) < config.crossover_rate
+        children = _crossover_batch(
+            population[parent_idx[:, 0]], population[parent_idx[:, 1]], do_crossover, rng
+        )
+        children = _mutate_batch(children, len(pool_ids), config.mutation_rate, rng)
+        children = _local_search_batch(children, ctx, ls_trials, rng)
         population = np.vstack([elites, children]) if config.elitism_count else children
         fitness = ctx.fitness(population)
         best = float(fitness.min())

@@ -145,13 +145,14 @@ class ObjectiveContext:
         out[:, 1] = 1.0 / self.preds[pop].sum(axis=1)
         out[:, 2] = np.abs(self.is_lt[pop].sum(axis=1) - self.target_lt)
         # 0/1 indicators: the counts are exact in any order, so sum whole rows.
-        out[:, 3] = self.genre_distance(self.genre_mat[pop.T].sum(axis=0))
+        genre_counts = self.genre_mat[pop.T].sum(axis=0)
+        out[:, 3] = self.genre_distance(genre_counts, genre_counts.sum(axis=1))
         return out
 
-    def genre_distance(self, genre_counts: np.ndarray) -> np.ndarray:
+    def genre_distance(self, genre_counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
         """L1 distance between each row's genre distribution (from its (n, 18)
-        genre counts) and the age group's."""
-        pgl = genre_counts / genre_counts.sum(axis=1, keepdims=True)
+        genre counts and their (n,) row totals) and the age group's."""
+        pgl = genre_counts / totals[:, None]
         return np.abs(self.pgu[None, :] - pgl).sum(axis=1)
 
     def fitness_from_objectives(self, objs: np.ndarray) -> np.ndarray:

@@ -41,9 +41,9 @@ from longtailrec.memetic import (
     InjectionParams,
     MemeticConfig,
     ServingHistory,
-    _crossover_indices,
+    _crossover_batch,
     _local_search_batch,
-    _mutate_indices,
+    _mutate_batch,
     injection_probability,
     optimize_user,
 )
@@ -293,16 +293,16 @@ def test_criterion_2_invariant_suite():
             break
         item_ids, k, ctx = _closure_setup(seed, rng)
         n_pool = len(item_ids)
-        for _ in range(20):
-            pa = rng.choice(n_pool, size=k, replace=False).tolist()
-            pb = rng.choice(n_pool, size=k, replace=False).tolist()
-            child = _crossover_indices(pa, pb, rng)
-            _assert_valid(np.array(child), k, n_pool)
-            assert set(child) <= set(pa) | set(pb)
+        pa = np.stack([rng.choice(n_pool, size=k, replace=False) for _ in range(20)])
+        pb = np.stack([rng.choice(n_pool, size=k, replace=False) for _ in range(20)])
+        children = _crossover_batch(pa, pb, np.ones(20, dtype=bool), rng)
+        for child, a, b in zip(children, pa, pb):
+            _assert_valid(child, k, n_pool)
+            assert set(child) <= set(a) | set(b)
             n_cross += 1
-        for _ in range(20):
-            parent = rng.choice(n_pool, size=k, replace=False).tolist()
-            _assert_valid(np.array(_mutate_indices(parent, n_pool, 0.4, rng)), k, n_pool)
+        parents = np.stack([rng.choice(n_pool, size=k, replace=False) for _ in range(20)])
+        for mutant in _mutate_batch(parents, n_pool, 0.4, rng):
+            _assert_valid(mutant, k, n_pool)
             n_mut += 1
         trials = 5
         start = np.stack([rng.choice(n_pool, size=k, replace=False) for _ in range(4)])

@@ -36,15 +36,15 @@ GOLDEN_CONFIG = ExperimentConfig(
     subsample_users=60,
 )
 
-GOLDEN_LISTS_SHA256 = "dfda7f447a00821ca8ae6ede952e142a419d4c6c4d9dad43deddd6214b2aadcb"
+GOLDEN_LISTS_SHA256 = "e57d628bf9ecbccd17b43b60b958162f5ba74ad231295a7eed27d04c94d0fe4b"
 
 GOLDEN_METRICS = {
-    "proposed": (0.871666666667, 1.9042903662e-05, 267),
+    "proposed": (0.871666666667, 1.90570568281e-05, 268),
     "user-cf": (0.935, 1.44740841523e-05, 222),
     "item-cf": (0.923333333333, 1.39834715366e-05, 216),
-    "plain-genetic": (0.908333333333, 1.73834440079e-05, 243),
-    "serve-round-1": (0.146666666667, 2.01255836419e-05, 146),
-    "serve-round-2": (0.136666666667, 2.13397067924e-05, 171),
+    "plain-genetic": (0.906666666667, 1.73436470221e-05, 242),
+    "serve-round-1": (0.135, 1.98117880139e-05, 156),
+    "serve-round-2": (0.146666666667, 2.09876802317e-05, 172),
 }
 
 
@@ -118,7 +118,7 @@ def optimizer_digest() -> str:
     return h.hexdigest()
 
 
-OPTIMIZER_DIGEST = "748039be5383ce949777507b75527ad2f4feccdfd0b090348625f767484b7192"
+OPTIMIZER_DIGEST = "bfaf3f1b691c736e9bba04ae0da185b10434ddccb06a5e05a5b3bde91e70e4bd"
 
 
 def test_optimizer_digest_is_unchanged():

@@ -22,9 +22,9 @@ from longtailrec.memetic import (
     MemeticConfig,
     OptimizationResult,
     ServingHistory,
-    _crossover_indices,
+    _crossover_batch,
     _local_search_batch,
-    _mutate_indices,
+    _mutate_batch,
     initialize_population,
     inject_items,
     injection_probability,
@@ -304,71 +304,173 @@ class TestInitializePopulation:
                 n_individuals += 1
         assert n_individuals >= 9000
 
+    def test_matches_per_row_reference(self):
+        """Given the same uniforms, the same population as a per-row loop:
+        round(ratio * k) injected items (at most all), then top items not in
+        the row while any are left, then leftover injected items; each pick
+        is ``options[⌊u·len(options)⌋]`` over the sorted ids it may take."""
+
+        def reference(injected, top, k, n, rng):
+            injected, top = set(injected), set(top)
+            draws = rng.random((n, k + 1))
+            population = []
+            for ratio, *picks in draws:
+                n_inj = min(len(injected), int(round(ratio * k)))
+                row: list[int] = []
+                for j, u in enumerate(picks):
+                    free_top = sorted(top - set(row))
+                    options = free_top if j >= n_inj and free_top else sorted(injected - set(row))
+                    row.append(options[int(u * len(options))])
+                population.append(row)
+            return np.array(population, dtype=np.int64).reshape(n, k)
+
+        master = np.random.default_rng(19)
+        n_cases = 0
+        while n_cases < 500:
+            ids = master.choice(np.arange(-5, 40), size=30, replace=False)
+            injected = ids[: int(master.integers(0, 12))]
+            top = ids[int(master.integers(0, 12)) :][: int(master.integers(0, 12))]
+            n_union = np.union1d(injected, top).size
+            if n_union == 0:
+                continue
+            k = int(master.integers(1, min(8, n_union) + 1))
+            args = (injected.tolist(), top.tolist(), k, int(master.integers(1, 20)))
+            seed = int(master.integers(2**32))
+            got = initialize_population(*args, rng=np.random.default_rng(seed))
+            assert np.array_equal(got, reference(*args, np.random.default_rng(seed)))
+            n_cases += 1
+
+
+def random_rows(rng, n, k, n_pool):
+    """n rows of k distinct pool indices."""
+    return np.stack([rng.choice(n_pool, size=k, replace=False) for _ in range(n)]).astype(np.int64)
+
+
+def assert_valid_rows(rows, k, n_pool):
+    assert rows.dtype == np.int64 and rows.shape[1] == k
+    assert ((rows >= 0) & (rows < n_pool)).all()
+    assert (np.diff(np.sort(rows, axis=1), axis=1) > 0).all()
+
 
 class TestCrossover:
     def test_identical_parents_pass_through(self, rng):
-        parent = [4, 9, 2]
-        child = _crossover_indices(parent, parent, rng)
-        assert child == parent
+        parent = np.array([[4, 9, 2]])
+        child = _crossover_batch(parent, parent, np.array([True]), rng)
+        assert child.tolist() == parent.tolist()
 
     def test_children_valid_and_closed_over_parent_union(self):
         master = np.random.default_rng(16)
-        n_cases = 0
+        cases: dict[int, list] = {}
         for _ in range(10_000):
             k = int(master.integers(2, 7))
-            pa = master.choice(12, size=k, replace=False).tolist()
-            pb = master.choice(12, size=k, replace=False).tolist()
-            child = _crossover_indices(pa, pb, master)
-            assert len(child) == k
-            assert len(set(child)) == k
-            assert set(child) <= set(pa) | set(pb)
-            n_cases += 1
+            pa = master.choice(12, size=k, replace=False)
+            pb = master.choice(12, size=k, replace=False)
+            cases.setdefault(k, []).append((pa, pb))
+        n_cases = 0
+        for k, pairs in cases.items():
+            pa = np.array([a for a, _ in pairs], dtype=np.int64)
+            pb = np.array([b for _, b in pairs], dtype=np.int64)
+            children = _crossover_batch(pa, pb, np.ones(len(pairs), dtype=bool), master)
+            assert_valid_rows(children, k, 12)
+            for child, a, b in zip(children, pa, pb):
+                assert set(child) <= set(a) | set(b)
+                n_cases += 1
         assert n_cases == 10_000
 
 
 class TestMutate:
     def test_rate_zero_is_identity(self, rng):
-        assert _mutate_indices([3, 1, 4], 5, 0.0, rng) == [3, 1, 4]
+        assert _mutate_batch(np.array([[3, 1, 4]]), 5, 0.0, rng).tolist() == [[3, 1, 4]]
 
     def test_no_legal_replacement_is_identity(self, rng):
-        assert _mutate_indices([2, 0, 1], 3, 1.0, rng) == [2, 0, 1]
+        assert _mutate_batch(np.array([[2, 0, 1]]), 3, 1.0, rng).tolist() == [[2, 0, 1]]
 
     def test_mutants_valid_in_bulk(self):
         master = np.random.default_rng(17)
         n_cases = 0
         for _ in range(5000):
             k = int(master.integers(2, 7))
-            individual = master.choice(12, size=k, replace=False).tolist()
+            individual = master.choice(12, size=k, replace=False)[None, :]
             rate = float(master.uniform(0, 1))
-            child = _mutate_indices(individual, 12, rate, master)
-            assert len(child) == k
-            assert len(set(child)) == k
-            assert all(0 <= g < 12 for g in child)
+            assert_valid_rows(_mutate_batch(individual, 12, rate, master), k, 12)
             n_cases += 1
         assert n_cases == 5000
 
     def test_replacement_matches_mask_reference(self):
-        """Same draws, same mutants as picking from a mask of the free pool indices."""
+        """Given the same uniforms, the same mutants as a per-row loop that
+        picks ``np.flatnonzero(free_mask)[⌊u·n_free⌋]`` hit by hit."""
 
-        def reference(individual, n_pool, rate, rng):
-            child = np.array(individual)
-            for pos in np.flatnonzero(rng.random(child.size) < rate):
-                mask = np.ones(n_pool, dtype=bool)
-                mask[child] = False
-                options = np.flatnonzero(mask)
-                if options.size:
-                    child[pos] = options[rng.integers(options.size)]
-            return child.tolist()
+        def reference(population, n_pool, rate, rng):
+            pop = population.copy()
+            hit_u, pick_u = rng.random((2,) + pop.shape)
+            for row, hits, picks in zip(pop, hit_u < rate, pick_u):
+                for pos in np.flatnonzero(hits):
+                    free_mask = np.ones(n_pool, dtype=bool)
+                    free_mask[row] = False
+                    options = np.flatnonzero(free_mask)
+                    if options.size:
+                        row[pos] = options[int(picks[pos] * options.size)]
+            return pop
 
         master = np.random.default_rng(18)
         for case in range(2000):
             n_pool = int(master.integers(3, 15))
             k = int(master.integers(1, n_pool + 1))
-            individual = master.choice(n_pool, size=k, replace=False).tolist()
+            population = random_rows(master, int(master.integers(1, 9)), k, n_pool)
             rate = float(master.uniform(0, 1))
-            got = _mutate_indices(individual, n_pool, rate, np.random.default_rng(case))
-            want = reference(individual, n_pool, rate, np.random.default_rng(case))
-            assert got == want
+            rng_a = np.random.default_rng(case)
+            rng_b = np.random.default_rng(case)
+            got = _mutate_batch(population, n_pool, rate, rng_a)
+            assert np.array_equal(got, reference(population, n_pool, rate, rng_b))
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_replacement_is_uniform_over_free_indices(self):
+        """Chi-square over the first hit of 16,000 copies of one row: each of
+        the 8 free indices is equally likely (critical value 24.32, 7 degrees
+        of freedom, level 0.001)."""
+        row = np.array([3, 7, 0, 9])
+        population = np.tile(row, (16_000, 1))
+        mutants = _mutate_batch(population, 12, 1.0, np.random.default_rng(41))
+        free = np.setdiff1d(np.arange(12), row)
+        observed = np.array([(mutants[:, 0] == i).sum() for i in free])
+        assert observed.sum() == len(population)
+        expected = len(population) / free.size
+        assert ((observed - expected) ** 2 / expected).sum() < 24.32
+
+
+@st.composite
+def parent_rows(draw):
+    n_pool = draw(st.integers(1, 40))
+    k = draw(st.integers(1, n_pool))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng, n_pool, k, random_rows(rng, n, k, n_pool), random_rows(rng, n, k, n_pool)
+
+
+class TestBatchedOperatorProperties:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(parent_rows(), st.data())
+    def test_crossover_children(self, case, data):
+        rng, n_pool, k, pa, pb = case
+        n = len(pa)
+        do_crossover = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        same = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        pb[same] = pa[same]
+        children = _crossover_batch(pa, pb, do_crossover, rng)
+        assert_valid_rows(children, k, n_pool)
+        for child, a, b in zip(children, pa, pb):
+            assert set(child) <= set(a) | set(b)
+        passed = ~do_crossover | same
+        assert np.array_equal(children[passed], pa[passed])
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(parent_rows(), st.floats(0.0, 1.0))
+    def test_mutants(self, case, rate):
+        rng, n_pool, k, population, _ = case
+        mutants = _mutate_batch(population, n_pool, rate, rng)
+        assert_valid_rows(mutants, k, n_pool)
+        if n_pool == k:
+            assert np.array_equal(mutants, population)
 
 
 def small_context(inst, rng, k=3):
