@@ -19,6 +19,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from .dataset import MIN_WARM_TRAIN_RATINGS
 from .harness import (
     METHODS,
     ExperimentConfig,
@@ -175,7 +176,7 @@ def _cmd_profile(args: argparse.Namespace) -> dict:
     if not config.out_dir:
         raise ValueError("profile requires --out for the CSV artifacts")
     prepared = prepare_experiment(config)
-    paths = emit_figure_data(prepared, config.out_dir, config.n_activity_bins)
+    paths = emit_figure_data(prepared, config.out_dir)
     return {name: str(p) for name, p in paths.items()}
 
 
@@ -184,7 +185,7 @@ def _cmd_recommend(args: argparse.Namespace) -> dict:
     prepared = prepare_experiment(config)
     if args.user not in prepared.universes:
         raise ValueError(
-            f"user {args.user} is not eligible (needs >= {config.min_train_ratings} train "
+            f"user {args.user} is not eligible (needs >= {MIN_WARM_TRAIN_RATINGS} train "
             f"ratings, >= 1 test rating, >= {config.k} candidate items)"
         )
     result = optimize_single(args.user, prepared, config, "proposed", ServingHistory(), 0)

@@ -14,9 +14,10 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -85,8 +86,6 @@ class ExperimentConfig:
     subsample_users: Optional[int] = None
     candidate_universe: str = "test"
     n_workers: int = 1
-    n_activity_bins: int = 10
-    min_train_ratings: int = MIN_WARM_TRAIN_RATINGS
 
     def __post_init__(self):
         paths = (self.ratings_path, self.users_path, self.movies_path)
@@ -101,6 +100,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {sorted(unknown)}; valid: {METHODS}")
         if not self.methods:
             raise ValueError("at least one method required")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ValueError(f"methods repeated: {repeated}")
         if self.candidate_universe not in ("test", "catalog"):
             raise ValueError("candidate_universe must be 'test' or 'catalog'")
         if self.injection_scope not in ("long-tail", "catalog"):
@@ -115,13 +117,9 @@ class ExperimentConfig:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     d = asdict(config)
-    d["weights"] = asdict(config.weights)
-    d["memetic"] = asdict(config.memetic)
-    d["injection"] = asdict(config.injection)
-    d["synth"] = asdict(config.synth) if config.synth else None
     d["version"] = engine_version()
     d["eligibility"] = (
-        f">= {config.min_train_ratings} train ratings, >= 1 test rating, "
+        f">= {MIN_WARM_TRAIN_RATINGS} train ratings, >= 1 test rating, "
         f">= k candidate items in the '{config.candidate_universe}' universe"
     )
     return d
@@ -147,26 +145,20 @@ class PreparedExperiment:
     universes: dict[int, tuple[int, ...]]
 
 
-def load_dataset(config: ExperimentConfig) -> Dataset:
-    if config.ratings_path:
-        return parse_movielens(config.ratings_path, config.users_path, config.movies_path)
-    synth = config.synth or SynthConfig(seed=config.seed)
-    return generate(synth)
-
-
 def prepare_experiment(config: ExperimentConfig) -> PreparedExperiment:
-    dataset = load_dataset(config)
-    split = temporal_split(dataset, config.split_fraction, config.min_train_ratings)
+    if config.ratings_path:
+        dataset = parse_movielens(config.ratings_path, config.users_path, config.movies_path)
+    else:
+        dataset = generate(config.synth or SynthConfig(seed=config.seed))
+    split = temporal_split(dataset, config.split_fraction)
     catalog = dataset.item_ids
     # Every rated item is in the catalog, so the matrix columns are the
     # catalog and dataset.item_genres aligns with them.
     train_matrix = RatingMatrix(split.train, item_ids=catalog)
     partition = popularity_partition(split.train, catalog, config.head_item_fraction)
     profiles = build_age_genre_profiles(train_matrix, dataset.users, dataset.item_genres)
-    curves = build_dynamics_curves(
-        split.train, dataset.users, partition, config.n_activity_bins
-    )
-    warm = warm_user_ids(split.train, config.min_train_ratings)
+    curves = build_dynamics_curves(split.train, dataset.users, partition)
+    warm = warm_user_ids(split.train)
     features = featurize_users(train_matrix, dataset.item_genres, warm)
     labels = [dataset.users[u].age_group for u in warm]
     classifier = train_age_classifier(features, labels)
@@ -176,7 +168,6 @@ def prepare_experiment(config: ExperimentConfig) -> PreparedExperiment:
     test_by_user = test_ratings_by_user(split.test)
 
     # Eligibility needs only universe sizes; universes are built for the kept users.
-    catalog_arr = train_matrix.item_ids
     eligible: list[int] = []
     for u in warm:
         tests = test_by_user.get(u)
@@ -185,7 +176,7 @@ def prepare_experiment(config: ExperimentConfig) -> PreparedExperiment:
         if config.candidate_universe == "test":
             n_candidates = len(tests)
         else:
-            n_candidates = catalog_arr.size - train_matrix.rated_item_indices(u).size
+            n_candidates = catalog.size - train_matrix.rated_item_indices(u).size
         if n_candidates >= config.k:
             eligible.append(u)
 
@@ -199,8 +190,8 @@ def prepare_experiment(config: ExperimentConfig) -> PreparedExperiment:
         if config.candidate_universe == "test":
             universes[u] = tuple(sorted(test_by_user[u]))
         else:
-            rated = catalog_arr[train_matrix.rated_item_indices(u)]
-            universes[u] = tuple(np.setdiff1d(catalog_arr, rated).tolist())
+            rated = catalog[train_matrix.rated_item_indices(u)]
+            universes[u] = tuple(np.setdiff1d(catalog, rated).tolist())
 
     train_means = {u: float(train_matrix.user_means[train_matrix.user_index[u]]) for u in eligible}
     return PreparedExperiment(
@@ -232,32 +223,6 @@ def _rank_candidates(
     return tuple(int(i) for i in cand[order[:k]])
 
 
-def _memetic_kwargs(prepared: PreparedExperiment, config: ExperimentConfig, method: str) -> dict:
-    memetic_cfg = config.memetic
-    use_injection = method == "proposed"
-    if method == "plain-genetic":
-        memetic_cfg = replace(memetic_cfg, local_search_trials=0)
-    return dict(
-        train=prepared.train_matrix,
-        users=prepared.dataset.users,
-        item_genres=prepared.dataset.item_genres,
-        partition=prepared.partition,
-        model=prepared.user_cf,
-        profiles=prepared.profiles,
-        curves=prepared.curves,
-        classifier=prepared.classifier,
-        k=config.k,
-        config=memetic_cfg,
-        weights=config.weights,
-        injection=config.injection,
-        injection_scope=config.injection_scope,
-        age_source=config.age_source,
-        use_injection=use_injection,
-        age_item_means=prepared.age_item_means,
-        min_train_ratings=config.min_train_ratings,
-    )
-
-
 def optimize_single(
     user_id: int,
     prepared: PreparedExperiment,
@@ -275,14 +240,31 @@ def optimize_single(
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, round_index, user_id])
     )
-    kwargs = _memetic_kwargs(prepared, config, method)
+    memetic_cfg = config.memetic
+    if method == "plain-genetic":  # the ablation: no local search
+        memetic_cfg = replace(memetic_cfg, local_search_trials=0)
     try:
         return optimize_user(
             user_id,
+            train=prepared.train_matrix,
+            users=prepared.dataset.users,
+            item_genres=prepared.dataset.item_genres,
+            partition=prepared.partition,
+            model=prepared.user_cf,
+            profiles=prepared.profiles,
+            curves=prepared.curves,
+            classifier=prepared.classifier,
             history=history,
+            k=config.k,
+            config=memetic_cfg,
+            weights=config.weights,
+            injection=config.injection,
             candidate_items=prepared.universes[user_id],
+            age_source=config.age_source,
+            use_injection=method == "proposed",
+            injection_scope=config.injection_scope,
+            age_item_means=prepared.age_item_means,
             rng=rng,
-            **kwargs,
         )
     except Exception as exc:
         exc.args = (f"user {user_id} (seed {config.seed}, round {round_index}): {exc}",)
@@ -347,12 +329,56 @@ class ExperimentOutcome:
 
 
 def _report_config_echo(config: ExperimentConfig, prepared: PreparedExperiment) -> dict:
+    """The config echo of a prepared run's reports; raises if no user is eligible."""
+    if not prepared.eligible_users:
+        raise ValueError("no eligible users under the configured thresholds")
     echo = config_to_dict(config)
     echo["n_eligible_users"] = len(prepared.eligible_users)
     echo["n_catalog_items"] = len(prepared.dataset.items)
     echo["n_train_ratings"] = len(prepared.split.train)
     echo["n_test_ratings"] = len(prepared.split.test)
     return echo
+
+
+def _serve_rounds(
+    prepared: PreparedExperiment,
+    config: ExperimentConfig,
+    method: str,
+    history: ServingHistory,
+    reports: Sequence[tuple[str, dict]],
+) -> Iterator[tuple[EvalReport, dict[int, tuple[int, ...]], dict[int, OptimizationResult]]]:
+    """One round per (report name, config echo) of `reports`: every eligible
+    user's list, one report of them, then every list recorded in `history`
+    for the next round. Yields each round's report, lists and optimizer
+    results."""
+    for round_index, (name, echo) in enumerate(reports):
+        recommended, results = _recommend_all(prepared, config, method, history, round_index)
+        report = build_report(
+            name,
+            recommended,
+            prepared.test_by_user,
+            prepared.train_means,
+            prepared.partition,
+            config=echo,
+            catalog_size=len(prepared.dataset.items),
+        )
+        for u in prepared.eligible_users:
+            history.record_served(recommended[u])
+        yield report, recommended, results
+
+
+@contextmanager
+def _removed_on_failure() -> Iterator[dict[str, Path]]:
+    """Collects the files a block writes, by artifact name, and deletes them
+    if the block raises."""
+    written: dict[str, Path] = {}
+    try:
+        yield written
+    except BaseException:
+        for path in written.values():
+            with suppress(OSError):
+                path.unlink()
+        raise
 
 
 def _write_recommendations_csv(path: Path, recommended: Mapping[int, Sequence[int]]) -> None:
@@ -413,74 +439,47 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
     failure all files created by this run are removed.
     """
     prepared = prepare_experiment(config)
-    if not prepared.eligible_users:
-        raise ValueError("no eligible users under the configured thresholds")
     echo = _report_config_echo(config, prepared)
-
-    created: list[Path] = []
     outdir = Path(config.out_dir) if config.out_dir else None
-    try:
-        reports: dict[str, EvalReport] = {}
-        recommendations: dict[str, dict[int, tuple[int, ...]]] = {}
-        artifacts: dict[str, Path] = {}
+    reports: dict[str, EvalReport] = {}
+    recommendations: dict[str, dict[int, tuple[int, ...]]] = {}
+    with _removed_on_failure() as artifacts:
         for method in config.methods:
-            history = ServingHistory()
-            recommended, results = _recommend_all(prepared, config, method, history, round_index=0)
-            report = build_report(
-                method,
-                recommended,
-                prepared.test_by_user,
-                prepared.train_means,
-                prepared.partition,
-                config=echo,
-                catalog_size=len(prepared.dataset.items),
+            [(report, recommended, results)] = _serve_rounds(
+                prepared, config, method, ServingHistory(), [(method, echo)]
             )
             reports[method] = report
             recommendations[method] = recommended
             if outdir:
                 outdir.mkdir(parents=True, exist_ok=True)
-                rec_path = outdir / f"recommendations_{method}.csv"
-                _write_recommendations_csv(rec_path, recommended)
-                created.append(rec_path)
-                artifacts[f"recommendations_{method}"] = rec_path
-                rep_path = outdir / f"report_{method}.json"
-                write_report_json(report, rep_path)
-                created.append(rep_path)
-                artifacts[f"report_{method}"] = rep_path
+                path = outdir / f"recommendations_{method}.csv"
+                _write_recommendations_csv(path, recommended)
+                artifacts[f"recommendations_{method}"] = path
+                path = outdir / f"report_{method}.json"
+                write_report_json(report, path)
+                artifacts[f"report_{method}"] = path
                 if results:
-                    trace_path = outdir / f"traces_{method}.csv"
-                    _write_traces_csv(trace_path, results)
-                    created.append(trace_path)
-                    artifacts[f"traces_{method}"] = trace_path
+                    path = outdir / f"traces_{method}.csv"
+                    _write_traces_csv(path, results)
+                    artifacts[f"traces_{method}"] = path
 
         if outdir:
-            summary_path = outdir / "summary.csv"
-            write_reports_csv([reports[m] for m in config.methods], summary_path)
-            created.append(summary_path)
-            artifacts["summary"] = summary_path
-            config_path = outdir / "config.json"
-            with open(config_path, "w") as fh:
+            path = outdir / "summary.csv"
+            write_reports_csv([reports[m] for m in config.methods], path)
+            artifacts["summary"] = path
+            path = outdir / "config.json"
+            with open(path, "w") as fh:
                 json.dump(echo, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-            created.append(config_path)
-            artifacts["config"] = config_path
-            for name, p in emit_figure_data(prepared, outdir, config.n_activity_bins).items():
-                created.append(p)
-                artifacts[name] = p
-        return ExperimentOutcome(
-            config=config,
-            reports=reports,
-            recommendations=recommendations,
-            artifacts=artifacts,
-            n_eligible=len(prepared.eligible_users),
-        )
-    except BaseException:
-        for p in created:
-            try:
-                p.unlink()
-            except OSError:
-                pass
-        raise
+            artifacts["config"] = path
+            artifacts.update(emit_figure_data(prepared, outdir))
+    return ExperimentOutcome(
+        config=config,
+        reports=reports,
+        recommendations=recommendations,
+        artifacts=artifacts,
+        n_eligible=len(prepared.eligible_users),
+    )
 
 
 @dataclass
@@ -496,50 +495,29 @@ def multi_round_serve(
     prepared: Optional[PreparedExperiment] = None,
 ) -> tuple[list[RoundOutcome], ServingHistory]:
     """Serve the proposed method for R rounds, updating serving history
-    between rounds so repeatedly served items lose injection probability."""
+    between rounds so repeatedly served items lose injection probability.
+    When `out_dir` is set, writes the per-round metrics and the final
+    serving history; on failure both files are removed."""
     n_rounds = config.rounds if rounds is None else rounds
     if n_rounds < 1:
         raise ValueError("rounds must be at least 1")
     if prepared is None:
         prepared = prepare_experiment(config)
-    if not prepared.eligible_users:
-        raise ValueError("no eligible users under the configured thresholds")
     echo = _report_config_echo(config, prepared)
-
     history = ServingHistory()
-    outcomes: list[RoundOutcome] = []
-    created: list[Path] = []
-    outdir = Path(config.out_dir) if config.out_dir else None
-    try:
-        for round_index in range(n_rounds):
-            recommended, _ = _recommend_all(
-                prepared, config, "proposed", history, round_index=round_index
-            )
-            round_echo = dict(echo)
-            round_echo["round"] = round_index + 1
-            report = build_report(
-                f"proposed-round-{round_index + 1}",
-                recommended,
-                prepared.test_by_user,
-                prepared.train_means,
-                prepared.partition,
-                config=round_echo,
-                catalog_size=len(prepared.dataset.items),
-            )
-            outcomes.append(
-                RoundOutcome(
-                    round_index=round_index + 1,
-                    report=report,
-                    recommendations=recommended,
-                )
-            )
-            for u in prepared.eligible_users:
-                history.record_served(recommended[u])
-
-        if outdir:
+    reports = [(f"proposed-round-{r}", {**echo, "round": r}) for r in range(1, n_rounds + 1)]
+    outcomes = [
+        RoundOutcome(round_index=r, report=report, recommendations=recommended)
+        for r, (report, recommended, _) in enumerate(
+            _serve_rounds(prepared, config, "proposed", history, reports), start=1
+        )
+    ]
+    if config.out_dir:
+        outdir = Path(config.out_dir)
+        with _removed_on_failure() as written:
             outdir.mkdir(parents=True, exist_ok=True)
-            rounds_path = outdir / "rounds.csv"
-            with open(rounds_path, "w", newline="") as fh:
+            path = outdir / "rounds.csv"
+            with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["round", "precision", "novelty", "aggregate_diversity"])
                 for oc in outcomes:
@@ -547,15 +525,8 @@ def multi_round_serve(
                     writer.writerow(
                         [oc.round_index, f"{oc.report.precision:.6f}", nov, oc.report.aggregate_diversity]
                     )
-            created.append(rounds_path)
-            history_path = outdir / "serving_history.csv"
-            history.write_csv(history_path)
-            created.append(history_path)
-        return outcomes, history
-    except BaseException:
-        for p in created:
-            try:
-                p.unlink()
-            except OSError:
-                pass
-        raise
+            written["rounds"] = path
+            path = outdir / "serving_history.csv"
+            history.write_csv(path)
+            written["serving_history"] = path
+    return outcomes, history

@@ -282,13 +282,12 @@ def _local_search_batch(
 
     Each trial draws a position in [0, k) then a pool index in [0, n_pool)
     for every individual; all trials' draws come from one ``integers`` call,
-    which yields the same stream as one pair of calls per trial. A swap's
-    popularity sum, long-tail count, genre counts and genre total follow
-    from the one item that changes, as one row of a (pool, 21) attribute
-    block (exact sums of small integers); the accuracy column is summed over
-    the whole row as ``ObjectiveContext.objectives`` sums it, so every
-    fitness is the one a full evaluation gives. A swap that repeats a gene of
-    its row is rejected; only the swaps that would improve are checked.
+    which yields the same stream as one pair of calls per trial. A swap
+    changes one row of the list's column sums of ``ctx.attrs`` and one entry
+    of its predictions, whose row is summed whole as
+    ``ObjectiveContext.objectives`` sums it, so every fitness is the one a
+    full evaluation gives. A swap that repeats a gene of its row is rejected;
+    only the swaps that would improve are checked.
     """
     if trials <= 0:
         return population
@@ -298,23 +297,17 @@ def _local_search_batch(
     highs[:, 0] = k
     highs[:, 1] = len(ctx.pool_items)
     draws = rng.integers(0, highs)
-    attrs = np.column_stack(
-        [ctx.pop_counts, ctx.is_lt, ctx.genre_mat, ctx.genre_mat.sum(axis=1)]
-    )
-    sums = attrs[pop.T].sum(axis=0)
+    sums = ctx.attrs[pop.T].sum(axis=0)
     row_preds = ctx.preds[pop]
     fitness = ctx.fitness(pop)
-    objs = np.empty((n, 4))
     rows = np.arange(n)
     for positions, replacements in draws:
-        cand = sums - attrs[pop[rows, positions]] + attrs[replacements]
+        cand = sums - ctx.attrs[pop[rows, positions]] + ctx.attrs[replacements]
         cand_preds = row_preds.copy()
         cand_preds[rows, positions] = ctx.preds[replacements]
-        objs[:, 0] = cand[:, 0]
-        objs[:, 1] = 1.0 / cand_preds.sum(axis=1)
-        objs[:, 2] = np.abs(cand[:, 1] - ctx.target_lt)
-        objs[:, 3] = ctx.genre_distance(cand[:, 2:-1], cand[:, -1])
-        cand_fitness = ctx.fitness_from_objectives(objs)
+        cand_fitness = ctx.fitness_from_objectives(
+            ctx.objectives_from_sums(cand, cand_preds.sum(axis=1))
+        )
         better = np.flatnonzero(cand_fitness < fitness)
         # A swap to the gene already there leaves the fitness unchanged, so
         # an improving swap repeats a gene exactly when its row holds it.
@@ -511,20 +504,15 @@ def optimize_user(
         weights=weights,
     )
 
-    if use_injection:
-        # The pool is sorted, so pool indices keep the order of the ids.
-        population = initialize_population(
-            np.searchsorted(pool_ids, injected),
-            np.searchsorted(pool_ids, top_pool),
-            k,
-            config.population_size,
-            rng,
-        )
-    else:
-        # Ablation seeding: uniform k-subsets of the prediction pool.
-        population = initialize_population(
-            [], np.arange(pool_ids.size), k, config.population_size, rng
-        )
+    # The pool is sorted, so pool indices keep the order of the ids. Without
+    # injection the pool is the top pool: uniform k-subsets of it.
+    population = initialize_population(
+        np.searchsorted(pool_ids, injected),
+        np.searchsorted(pool_ids, top_pool),
+        k,
+        config.population_size,
+        rng,
+    )
 
     fitness = ctx.fitness(population)
     trace = [

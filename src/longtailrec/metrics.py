@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -158,16 +158,7 @@ def report_to_dict(report: EvalReport) -> dict:
         "aggregate_diversity": report.aggregate_diversity,
         "n_users": report.n_users,
         "n_recommended": report.n_recommended,
-        "per_user": [
-            {
-                "user_id": b.user_id,
-                "n_recommended": b.n_recommended,
-                "n_relevant": b.n_relevant,
-                "popularity_sum": b.popularity_sum,
-                "n_long_tail": b.n_long_tail,
-            }
-            for b in report.per_user
-        ],
+        "per_user": [asdict(b) for b in report.per_user],
         "config": dict(report.config),
     }
 

@@ -109,18 +109,23 @@ class ObjectiveContext:
         self.user_id = user_id
         self.k = k
         self.pool_items = np.asarray(pool_items, dtype=np.int64)
-        self.pop_counts = np.asarray(popularity, dtype=float)
+        popularity = np.asarray(popularity, dtype=float)
         self.preds = np.asarray(predictions, dtype=float)
-        self.is_lt = np.asarray(long_tail, dtype=bool)
-        self.genre_mat = np.asarray(genres, dtype=float)
+        genres = np.asarray(genres, dtype=float)
         n = self.pool_items.size
-        if any(len(a) != n for a in (self.pop_counts, self.preds, self.is_lt, self.genre_mat)):
+        if any(len(a) != n for a in (popularity, self.preds, long_tail, genres)):
             raise ValueError(f"item attributes must be aligned to the {n} pool items")
+        # One row per pool item: popularity, long-tail flag, 18 genres and
+        # their total. A list's column sums (exact sums of small integers)
+        # and its predicted-rating sum give all four objectives.
+        self.attrs = np.column_stack(
+            [popularity, np.asarray(long_tail, dtype=bool), genres, genres.sum(axis=1)]
+        )
         self.pgu = np.asarray(pgu, dtype=float)
         self.target_lt = int(target_lt)
         self.weights = weights.as_array()
 
-        pops_sorted = np.sort(self.pop_counts)
+        pops_sorted = np.sort(popularity)
         preds_sorted = np.sort(self.preds)
         lo = np.array([
             pops_sorted[:k].sum(),
@@ -140,20 +145,20 @@ class ObjectiveContext:
     def objectives(self, population: np.ndarray) -> np.ndarray:
         """Objective matrix (n, 4) for index-encoded individuals (n, k)."""
         pop = np.atleast_2d(population)
-        out = np.empty((pop.shape[0], 4))
-        out[:, 0] = self.pop_counts[pop].sum(axis=1)
-        out[:, 1] = 1.0 / self.preds[pop].sum(axis=1)
-        out[:, 2] = np.abs(self.is_lt[pop].sum(axis=1) - self.target_lt)
-        # 0/1 indicators: the counts are exact in any order, so sum whole rows.
-        genre_counts = self.genre_mat[pop.T].sum(axis=0)
-        out[:, 3] = self.genre_distance(genre_counts, genre_counts.sum(axis=1))
-        return out
+        return self.objectives_from_sums(
+            self.attrs[pop.T].sum(axis=0), self.preds[pop].sum(axis=1)
+        )
 
-    def genre_distance(self, genre_counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-        """L1 distance between each row's genre distribution (from its (n, 18)
-        genre counts and their (n,) row totals) and the age group's."""
-        pgl = genre_counts / totals[:, None]
-        return np.abs(self.pgu[None, :] - pgl).sum(axis=1)
+    def objectives_from_sums(self, sums: np.ndarray, pred_sums: np.ndarray) -> np.ndarray:
+        """Objective matrix (n, 4) from each list's (n, 21) column sums of
+        `attrs` and its (n,) predicted-rating sum."""
+        out = np.empty((sums.shape[0], 4))
+        out[:, 0] = sums[:, 0]
+        out[:, 1] = 1.0 / pred_sums
+        out[:, 2] = np.abs(sums[:, 1] - self.target_lt)
+        genre_share = sums[:, 2:-1] / sums[:, -1:]
+        out[:, 3] = np.abs(self.pgu[None, :] - genre_share).sum(axis=1)
+        return out
 
     def fitness_from_objectives(self, objs: np.ndarray) -> np.ndarray:
         normalized = (objs - self.norm_lo) / self.norm_span

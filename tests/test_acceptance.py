@@ -52,7 +52,7 @@ from longtailrec.objectives import ObjectiveWeights
 from longtailrec.profiles import build_age_genre_profiles, build_dynamics_curves
 from longtailrec.synth import SynthConfig
 
-from conftest import long_tail_ids, make_random_instance, pool_context
+from instances import long_tail_ids, make_random_instance, pool_context
 from oracles import (
     oracle_aggregate_diversity,
     oracle_novelty,

@@ -13,7 +13,7 @@ from longtailrec.age_model import (
 from longtailrec.cf import ColdUserError, RatingMatrix
 from longtailrec.dataset import AGE_GROUPS, GENRES, N_GENRES, Item, Rating, Ratings
 
-from conftest import genre_rows, make_random_instance
+from instances import genre_rows, make_random_instance
 from oracles import oracle_genre_features, oracle_nearest_centroid
 
 

@@ -22,7 +22,7 @@ from longtailrec.cf import (
 from longtailrec.dataset import Rating, Ratings
 from longtailrec.harness import _rank_candidates
 
-from conftest import make_random_instance
+from instances import make_random_instance
 from oracles import (
     oracle_adjusted_cosine,
     oracle_pearson,

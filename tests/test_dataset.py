@@ -23,7 +23,7 @@ from longtailrec.dataset import (
     warm_user_ids,
 )
 
-from conftest import make_random_instance
+from instances import make_random_instance
 from oracles import oracle_partition
 
 

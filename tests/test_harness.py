@@ -72,6 +72,8 @@ class TestConfigValidation:
             toy_config(methods=("proposed", "svd"))
         with pytest.raises(ValueError, match="at least one method"):
             toy_config(methods=())
+        with pytest.raises(ValueError, match=r"methods repeated: \['user-cf'\]"):
+            toy_config(methods=("user-cf", "proposed", "user-cf"))
         with pytest.raises(ValueError, match="candidate_universe"):
             toy_config(candidate_universe="full")
         with pytest.raises(ValueError, match="injection_scope"):
@@ -347,6 +349,11 @@ class TestMultiRoundServe:
         single = run_experiment(config)
         outcomes, _ = multi_round_serve(config, rounds=1)
         assert outcomes[0].recommendations == single.recommendations["proposed"]
+        served, reported = outcomes[0].report, single.reports["proposed"]
+        assert served.precision == reported.precision
+        assert served.novelty == reported.novelty
+        assert served.aggregate_diversity == reported.aggregate_diversity
+        assert served.per_user == reported.per_user
 
     def test_rounds_csv_written(self, rounds_run):
         _, outcomes, _, out = rounds_run
@@ -356,6 +363,18 @@ class TestMultiRoundServe:
         for row, oc in zip(rows, outcomes):
             assert float(row["precision"]) == pytest.approx(oc.report.precision, abs=1e-6)
         assert (out / "serving_history.csv").exists()
+
+    def test_failure_removes_written_files(self, tmp_path, monkeypatch):
+        def fail(history, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ServingHistory, "write_csv", fail)
+        out = tmp_path / "serve"
+        config = toy_config(methods=("proposed",), subsample_users=4, out_dir=str(out))
+        with pytest.raises(OSError, match="disk full"):
+            multi_round_serve(config, rounds=2)
+        assert not (out / "rounds.csv").exists()
+        assert list(out.iterdir()) == []
 
     def test_zero_rounds_rejected(self):
         with pytest.raises(ValueError, match="rounds"):

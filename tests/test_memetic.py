@@ -34,7 +34,7 @@ from longtailrec.memetic import (
 from longtailrec.objectives import ObjectiveContext, ObjectiveWeights
 from longtailrec.profiles import build_age_genre_profiles, build_dynamics_curves
 
-from conftest import long_tail_ids, make_random_instance, partition_counts, pool_context
+from instances import long_tail_ids, make_random_instance, partition_counts, pool_context
 from oracles import oracle_objective_values
 
 

@@ -21,7 +21,7 @@ from longtailrec.metrics import (
 )
 from longtailrec.metrics import test_ratings_by_user as index_test_ratings
 
-from conftest import make_random_instance, partition_from_counts
+from instances import make_random_instance, partition_from_counts
 from oracles import oracle_aggregate_diversity, oracle_novelty, oracle_precision
 
 

@@ -18,7 +18,7 @@ from longtailrec.objectives import (
     ObjectiveWeights,
 )
 
-from conftest import (
+from instances import (
     long_tail_ids,
     make_random_instance,
     partition_counts,

@@ -20,7 +20,7 @@ from longtailrec.profiles import (
     write_profiles_csv,
 )
 
-from conftest import genre_rows, long_tail_ids, make_random_instance, partition_from_counts
+from instances import genre_rows, long_tail_ids, make_random_instance, partition_from_counts
 from oracles import oracle_age_profiles, oracle_dynamics_curve
 
 
